@@ -14,7 +14,6 @@ FUZZYCHIP_LOG=debug|info|warning for progress logging on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import os
@@ -78,8 +77,6 @@ def _write_manifest(out_dir, command, argv, config, seeds, outputs) -> None:
 
 
 def _prepare_out_dir(args) -> str:
-    if not args.out:
-        raise CliError(EXIT_IO, "this command requires --out DIR")
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -87,33 +84,12 @@ def _prepare_out_dir(args) -> str:
     return args.out
 
 
-def _load_flc_spec(path: str) -> flc.FlcSpec:
-    if not path:
-        raise CliError(EXIT_IO, "this command requires --spec FILE")
+def _load(path: str, loader):
+    """loader(path); a missing, unreadable or malformed file exits 2."""
     try:
-        return flc.load_spec(path)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        return loader(path)
+    except (OSError, ValueError) as exc:
         raise CliError(EXIT_IO, f"{path}: {exc}") from exc
-
-
-def _load_ga_config(path: str) -> ga.GaConfig:
-    if not path:
-        raise CliError(EXIT_IO, "this command requires --config FILE")
-    try:
-        return ga.load_config(path)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise CliError(EXIT_IO, f"{path}: {exc}") from exc
-
-
-def _load_instance(path: str) -> problems.TspInstance:
-    if not path:
-        raise CliError(EXIT_IO, "this command requires --instance FILE")
-    try:
-        return problems.load_tsplib(path)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"{path}: {exc}") from exc
-    except problems.TsplibParseError as exc:
-        raise CliError(EXIT_IO, str(exc)) from exc
 
 
 def _require_valid(spec: flc.FlcSpec) -> None:
@@ -154,7 +130,7 @@ def _pose_triple(text: str) -> tuple[float, float, float]:
 
 
 def cmd_flc_validate(args) -> int:
-    spec = _load_flc_spec(args.spec)
+    spec = _load(args.spec, flc.load_spec)
     report = flc.validate_spec(spec)
     if report.ok:
         print("ok")
@@ -165,7 +141,7 @@ def cmd_flc_validate(args) -> int:
 
 
 def cmd_flc_eval(args) -> int:
-    spec = _load_flc_spec(args.spec)
+    spec = _load(args.spec, flc.load_spec)
     _require_valid(spec)
     if args.input is None:
         raise CliError(EXIT_IO, "flc eval requires --input x0[,x1,...]")
@@ -186,7 +162,7 @@ def cmd_flc_eval(args) -> int:
 
 
 def cmd_flc_timing(args) -> int:
-    spec = _load_flc_spec(args.spec)
+    spec = _load(args.spec, flc.load_spec)
     _require_valid(spec)
     report = flc.estimate_timing(spec)
     print(f"stages={spec.stages} clock_ns={spec.clock_ns:g} mode={spec.mode}")
@@ -197,7 +173,7 @@ def cmd_flc_timing(args) -> int:
 
 
 def cmd_flc_sweep(args) -> int:
-    spec = _load_flc_spec(args.spec)
+    spec = _load(args.spec, flc.load_spec)
     _require_valid(spec)
     if spec.n > 2:
         raise CliError(EXIT_INVALID, f"sweep supports 1 or 2 inputs, spec has {spec.n}")
@@ -226,29 +202,32 @@ def cmd_flc_sweep(args) -> int:
     return EXIT_OK
 
 
-# ---- ga / tsp ----
+# ---- ga ----
 
 
-@functools.lru_cache(maxsize=None)
-def _benchmark_fitness(name: str, score_sz: int) -> problems.BenchmarkFitness:
-    return problems.BenchmarkFitness(name, score_sz)
+def _fan_out(fn, calls: list[tuple], jobs: int) -> list:
+    """[fn(*args) for args in calls], in up to `jobs` worker processes.
 
-
-def _ga_payload(cfg_dict: dict, fitness_desc: tuple, index: int) -> tuple[str, str, str]:
-    """One GA run; returns (generations csv, result json, stdout line).
-
-    Module-level and argument-picklable so --jobs can farm runs out to
-    worker processes; all text is assembled here and written by the parent
-    in run order, keeping output bytes independent of scheduling.
+    fn and its arguments must be picklable. Results come back in call order,
+    and the parent writes them, so output bytes do not depend on scheduling.
     """
-    cfg = ga.config_from_dict(cfg_dict)
-    kind = fitness_desc[0]
-    if kind == "benchmark":
-        fit = _benchmark_fitness(fitness_desc[1], cfg.score_sz)
-    else:
-        inst = problems.parse_tsplib(fitness_desc[1])
-        fit = problems.TspFitness(inst, cfg.genom_lngt, cfg.score_sz)
+    jobs = min(jobs, len(calls))
+    if jobs <= 1:
+        return [fn(*a) for a in calls]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *zip(*calls)))
 
+
+def _fitness(cfg: ga.GaConfig, problem: str | problems.TspInstance):
+    """The GA fitness of a benchmark name or a TSP instance; ValueError when
+    the config's genome width cannot encode it."""
+    if isinstance(problem, str):
+        return problems.BenchmarkFitness(problem, cfg.score_sz, cfg.genom_lngt)
+    return problems.TspFitness(problem, cfg.genom_lngt, cfg.score_sz)
+
+
+def _ga_payload(cfg: ga.GaConfig, fit, index: int) -> tuple[str, str, str]:
+    """One GA run; returns (generations csv, result json, stdout line)."""
     rows = ["generation,best_score,mean_score,best_genome"]
 
     def observe(gen: int, pop: ga.Population) -> None:
@@ -264,7 +243,7 @@ def _ga_payload(cfg_dict: dict, fitness_desc: tuple, index: int) -> tuple[str, s
         "stop_reason": result.stop_reason,
         "seeds": list(cfg.seeds),
     }
-    if kind == "benchmark":
+    if isinstance(fit, problems.BenchmarkFitness):
         x1, x2 = fit.decode(result.best_genome)
         doc["fn"] = fit.name
         doc["best_x"] = [round(x1, 9), round(x2, 9)]
@@ -282,42 +261,29 @@ def _ga_payload(cfg_dict: dict, fitness_desc: tuple, index: int) -> tuple[str, s
     return "\n".join(rows) + "\n", _json_text(doc), line
 
 
-def _run_ga_command(args, fitness_desc: tuple, command: str) -> int:
-    cfg = _load_ga_config(args.config)
+def cmd_ga(args) -> int:
+    problem = args.fn or _load(args.instance, problems.load_tsplib)
+    cfg = _load(args.config, ga.load_config)
     if args.max_gen is not None:
         cfg = replace(cfg, max_gen=args.max_gen)
-    seed_sets = args.seeds if args.seeds else [cfg.seeds]
-    problems_found = replace(cfg, seeds=tuple(seed_sets[0])).problems()
-    if problems_found:
-        raise CliError(EXIT_INVALID, "; ".join(problems_found))
-    for seeds in seed_sets:
-        if len(seeds) != 4 or any(not 0 < s < (1 << 16) for s in seeds):
-            raise CliError(EXIT_INVALID, f"bad seed set {seeds}")
-
-    out_dir = _prepare_out_dir(args)
-    outputs = []
-    for i in range(len(seed_sets)):
-        outputs += [f"generations_{i:03d}.csv", f"result_{i:03d}.json"]
-    _write_manifest(out_dir, command, args.argv, args.config,
-                    [list(s) for s in seed_sets], outputs)
-
-    cfg_dicts = [ga.config_to_dict(replace(cfg, seeds=tuple(s))) for s in seed_sets]
-    # validate fitness construction once up front so bad pairings exit 1
+    cfgs = [replace(cfg, seeds=s) for s in args.seeds] if args.seeds else [cfg]
+    for run_cfg in cfgs:
+        found = run_cfg.problems()
+        if found:
+            raise CliError(EXIT_INVALID, "; ".join(found))
     try:
-        _ga_payload(cfg_dicts[0] | {"max_gen": 0, "fitness_limit": None},
-                    fitness_desc, 0)
+        fit = _fitness(cfg, problem)
     except ValueError as exc:
         raise CliError(EXIT_INVALID, str(exc)) from exc
 
-    jobs = min(args.jobs, len(seed_sets))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            payloads = list(pool.map(_ga_payload, cfg_dicts,
-                                     [fitness_desc] * len(cfg_dicts),
-                                     range(len(cfg_dicts))))
-    else:
-        payloads = [_ga_payload(d, fitness_desc, i) for i, d in enumerate(cfg_dicts)]
+    out_dir = _prepare_out_dir(args)
+    outputs = []
+    for i in range(len(cfgs)):
+        outputs += [f"generations_{i:03d}.csv", f"result_{i:03d}.json"]
+    _write_manifest(out_dir, "ga", args.argv, args.config,
+                    [list(c.seeds) for c in cfgs], outputs)
 
+    payloads = _fan_out(_ga_payload, [(c, fit, i) for i, c in enumerate(cfgs)], args.jobs)
     for i, (gen_csv, result_json, line) in enumerate(payloads):
         _write_text(os.path.join(out_dir, f"generations_{i:03d}.csv"), gen_csv)
         _write_text(os.path.join(out_dir, f"result_{i:03d}.json"), result_json)
@@ -325,25 +291,12 @@ def _run_ga_command(args, fitness_desc: tuple, command: str) -> int:
     return EXIT_OK
 
 
-def cmd_ga(args) -> int:
-    if args.fn:
-        return _run_ga_command(args, ("benchmark", args.fn), "ga")
-    inst = _load_instance(args.instance)
-    return _run_ga_command(args, ("tsp", problems.format_tsplib(inst)), "ga")
-
-
-def cmd_tsp(args) -> int:
-    inst = _load_instance(args.instance)
-    return _run_ga_command(args, ("tsp", problems.format_tsplib(inst)), "tsp")
-
-
 # ---- track ----
 
 
-def _track_payload(waypoints, params_dict, noise, seed, steps, spacing, start):
-    params = tracksim.TrackerParams(**params_dict)
+def _track_payload(waypoints, noise, seed, steps, spacing, start):
     start_pose = tracksim.Pose(*start) if start else None
-    trace = tracksim.simulate(list(waypoints), params, start=start_pose,
+    trace = tracksim.simulate(waypoints, tracksim.TrackerParams(), start=start_pose,
                               noise=noise, seed=seed, steps=steps, spacing=spacing)
     if not trace.rows:  # start pose already beside the final sample
         return trace.to_csv_text(), {"seed": seed, "rows": 0}
@@ -361,14 +314,7 @@ def _track_payload(waypoints, params_dict, noise, seed, steps, spacing, start):
 
 
 def cmd_track(args) -> int:
-    if not args.path:
-        raise CliError(EXIT_IO, "track requires --path FILE")
-    try:
-        waypoints = tracksim.load_waypoints(args.path)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"{args.path}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(EXIT_IO, str(exc)) from exc
+    waypoints = _load(args.path, tracksim.load_waypoints)
     if args.spacing <= 0 or args.steps <= 0:
         raise CliError(EXIT_INVALID, "--spacing and --steps must be positive")
 
@@ -377,16 +323,10 @@ def cmd_track(args) -> int:
     outputs = [f"trace_{i:03d}.csv" for i in range(len(seeds))] + ["summary.json"]
     _write_manifest(out_dir, "track", args.argv, None, seeds, outputs)
 
-    params_dict = {}  # defaults live in TrackerParams
-    payload_args = [(tuple(waypoints), params_dict, args.noise, s,
-                     args.steps, args.spacing, args.start) for s in seeds]
-    jobs = min(args.jobs, len(seeds))
+    calls = [(waypoints, args.noise, s, args.steps, args.spacing, args.start)
+             for s in seeds]
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                payloads = list(pool.map(_track_payload, *zip(*payload_args)))
-        else:
-            payloads = [_track_payload(*a) for a in payload_args]
+        payloads = _fan_out(_track_payload, calls, args.jobs)
     except ValueError as exc:  # < 2 distinct waypoints, non-positive speed
         raise CliError(EXIT_INVALID, str(exc)) from exc
 
@@ -404,17 +344,19 @@ def cmd_track(args) -> int:
 # ---- rerun ----
 
 
-def cmd_rerun(args) -> int:
-    try:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(EXIT_IO, f"{args.manifest}: {exc}") from exc
-    argv = doc.get("argv")
+def _manifest_argv(path: str) -> list[str]:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    argv = doc.get("argv") if isinstance(doc, dict) else None
     if not isinstance(argv, list) or not argv:
-        raise CliError(EXIT_IO, f"{args.manifest}: no argv recorded")
+        raise ValueError("no argv recorded")
+    return [str(a) for a in argv]
+
+
+def cmd_rerun(args) -> int:
+    argv = _load(args.manifest, _manifest_argv)
     log.info("replaying: %s", " ".join(argv))
-    return main([str(a) for a in argv])
+    return main(argv)
 
 
 # ---- parser wiring ----
@@ -461,15 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_ga)
-
-    p = sub.add_parser("tsp", help="GA tour search; prints the decoded tour")
-    p.add_argument("--config", required=True)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--seeds", type=_seed_set, action="append")
-    p.add_argument("--max-gen", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_tsp)
 
     p = sub.add_parser("track", help="closed-loop path tracking simulation")
     p.add_argument("--path", required=True, help="waypoint file, 'x y' per line")

@@ -131,8 +131,6 @@ class ValidationReport:
 def validate_spec(spec: FlcSpec) -> ValidationReport:
     """Structural invariant check; collects every violation instead of raising."""
     problems: list[str] = []
-    top_in = (1 << spec.in_bits) - 1
-
     for bits, name in (
         (spec.in_bits, "in_bits"),
         (spec.out_bits, "out_bits"),
@@ -149,8 +147,12 @@ def validate_spec(spec: FlcSpec) -> ValidationReport:
         problems.append(f"unknown mode {spec.mode!r}")
     if spec.stages < 1:
         problems.append(f"stages={spec.stages} must be >= 1")
-    if spec.clock_ns <= 0:
+    if not spec.clock_ns > 0:  # NaN fails this too
         problems.append(f"clock_ns={spec.clock_ns} must be positive")
+    if not (1 <= spec.in_bits <= 32 and 1 <= spec.cons_bits <= 32):
+        # the universe checks below need 2^in_bits and 2^cons_bits
+        return ValidationReport(False, tuple(problems))
+    top_in = (1 << spec.in_bits) - 1
 
     if not spec.partitions:
         problems.append("no input partitions")
@@ -161,6 +163,8 @@ def validate_spec(spec: FlcSpec) -> ValidationReport:
         problems.append("partitions need at least 2 MFs for pairwise active selection")
     if any(len(p) != m for p in spec.partitions):
         problems.append("all partitions must have the same MF count")
+        return ValidationReport(False, tuple(problems))
+    if m == 0:  # reported above; the checks below need an MF
         return ValidationReport(False, tuple(problems))
 
     for k, part in enumerate(spec.partitions):
@@ -433,7 +437,7 @@ def spec_from_dict(data: dict) -> FlcSpec:
             stages=int(data.get("stages", 11)),
             clock_ns=float(data.get("clock_ns", 10.0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: int(1e999)
         raise ValueError(f"malformed spec document: {exc}") from exc
 
 

@@ -375,6 +375,8 @@ def config_from_dict(data: dict) -> GaConfig:
             return value
         return tuple(str(v) for v in value)
 
+    if not isinstance(data, dict):
+        raise ValueError("GA config must be a JSON object")
     try:
         limit = data.get("fitness_limit")
         return GaConfig(
@@ -391,7 +393,7 @@ def config_from_dict(data: dict) -> GaConfig:
             fitness_limit=None if limit is None else int(limit),
             seeds=tuple(int(s) for s in data.get("seeds", GaConfig.seeds)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(1e999)
         raise ValueError(f"malformed GA config document: {exc}") from exc
 
 

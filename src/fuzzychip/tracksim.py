@@ -195,15 +195,25 @@ def code_to_curvature(code: int, kappa_max: float, out_bits: int = _OUT_BITS) ->
     return (code - half) / half * kappa_max
 
 
+def error_maps(params: TrackerParams) -> tuple[DomainMap, DomainMap]:
+    """Quantizers of the controller inputs: lateral error over
+    [-d_range, d_range], heading error over [-pi, pi]."""
+    return (DomainMap(-params.d_range, params.d_range, _IN_BITS),
+            DomainMap(-math.pi, math.pi, _IN_BITS))
+
+
 def spatial_window_command(
-    path: PathSamples, pose: Pose, params: TrackerParams, spec: FlcSpec
+    path: PathSamples,
+    start: int,
+    pose: Pose,
+    params: TrackerParams,
+    spec: FlcSpec,
+    maps: tuple[DomainMap, DomainMap],
 ) -> float:
     """Mean of the per-sample controller outputs over `window` consecutive
-    samples starting at the closest one (truncated at the path end), clamped
-    to the curvature limit."""
-    d_map = DomainMap(-params.d_range, params.d_range, _IN_BITS)
-    t_map = DomainMap(-math.pi, math.pi, _IN_BITS)
-    start = closest_point(path, pose)
+    samples from `start`, the sample closest to the pose (truncated at the
+    path end), clamped to the curvature limit. `maps` is error_maps(params)."""
+    d_map, t_map = maps
     stop = min(start + params.window, len(path))
     total = 0.0
     for idx in range(start, stop):
@@ -277,6 +287,7 @@ def simulate(
     pose defaults to the first sample, aligned with the initial tangent."""
     path = interpolate_path(waypoints, spacing)
     spec = build_tracker_spec(params)
+    maps = error_maps(params)
     rng = np.random.default_rng(seed)
     sigma_d, sigma_theta = noise
 
@@ -291,7 +302,7 @@ def simulate(
         idx = closest_point(path, est)
         if idx == last:
             break
-        kappa = spatial_window_command(path, est, params, spec)
+        kappa = spatial_window_command(path, idx, est, params, spec, maps)
         e_d, e_t = tracking_errors(path, idx, est)
         rows.append(TraceRow(k * params.dt, true, est, e_d, e_t, kappa))
         true = step_kinematics(true, params.v, kappa, params.dt)
@@ -346,7 +357,8 @@ def s_curve_waypoints(
 
 def load_waypoints(path) -> list[tuple[float, float]]:
     """Plain text, one 'x y' millimeter pair per line; blank lines and lines
-    starting with '#' are skipped."""
+    starting with '#' are skipped. ValueError on a malformed line or a
+    non-finite coordinate."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -355,8 +367,11 @@ def load_waypoints(path) -> list[tuple[float, float]]:
                 continue
             fields = line.split()
             if len(fields) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'x y'")
-            out.append((float(fields[0]), float(fields[1])))
+                raise ValueError(f"line {lineno}: expected 'x y'")
+            x, y = float(fields[0]), float(fields[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"line {lineno}: non-finite coordinate")
+            out.append((x, y))
     return out
 
 

@@ -137,10 +137,28 @@ def test_validate_ok(core_spec_file, capsys):
     assert capsys.readouterr().out.strip() == "ok"
 
 
-def test_validate_reports_problems(gapped_spec_file, capsys):
+def test_validate_reports_problems(gapped_spec_file, small_spec_file, tmp_path, capsys):
     assert main(["flc", "validate", "--spec", gapped_spec_file]) == 1
     out = capsys.readouterr().out
     assert out.startswith("problem: ")
+
+    # one bad field in a valid spec; each once ended in a traceback or "ok"
+    with open(small_spec_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for key, value, expect in (
+        ("in_bits", -1, "in_bits=-1"),
+        ("cons_bits", -1, "cons_bits=-1"),
+        ("partitions", [[]], "at least 2 MFs"),
+        ("clock_ns", float("nan"), "clock_ns=nan"),
+    ):
+        bad = tmp_path / f"bad_{key}.json"
+        bad.write_text(json.dumps(doc | {key: value}))
+        assert main(["flc", "validate", "--spec", str(bad)]) == 1, key
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines and all(line.startswith("problem: ") for line in lines), key
+        assert any(expect in line for line in lines), key
+        assert captured.err == "", key
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -149,9 +167,13 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_validate_malformed_json(tmp_path, capsys):
+def test_validate_malformed_json(core_spec_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert main(["flc", "validate", "--spec", str(bad)]) == 2
+    with open(core_spec_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    bad.write_text(json.dumps(doc | {"in_bits": 1e999}))  # int(inf) overflows
     assert main(["flc", "validate", "--spec", str(bad)]) == 2
 
 
@@ -220,7 +242,7 @@ def test_sweep_rejects_many_inputs(core_spec_file, tmp_path):
     assert rc == 1  # four inputs cannot be swept
 
 
-# ---- ga / tsp ----
+# ---- ga ----
 
 
 def test_ga_benchmark_run(ga_config_file, tmp_path, capsys):
@@ -304,12 +326,30 @@ def test_ga_config_file_errors(tmp_path):
         ["ga", "--config", str(malformed), "--fn", "sphere", "--out", str(tmp_path / "o")]
     )
     assert rc == 2
+    for text in ("[]", "null", '{"pop_sz": 1e999}'):  # JSON, not a config
+        malformed.write_text(text)
+        rc = main(
+            ["ga", "--config", str(malformed), "--fn", "sphere",
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+
+
+def test_ga_rejects_wide_benchmark_genome(tmp_path, capsys):
+    # benchmark genomes are 16 bits; a wider one used to be silently truncated
+    cfg = tmp_path / "wide.json"
+    ga.dump_config(ga.GaConfig(genom_lngt=20, max_gen=1), cfg)
+    out = tmp_path / "o"
+    rc = main(["ga", "--config", str(cfg), "--fn", "sphere", "--out", str(out)])
+    assert rc == 1
+    assert "16 bits" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_tsp_run(tsp_config_file, burma_file, tmp_path, capsys):
     out = tmp_path / "tsp_out"
     rc = main(
-        ["tsp", "--config", tsp_config_file, "--instance", burma_file,
+        ["ga", "--config", tsp_config_file, "--instance", burma_file,
          "--out", str(out)]
     )
     assert rc == 0
@@ -320,27 +360,29 @@ def test_tsp_run(tsp_config_file, burma_file, tmp_path, capsys):
     assert sorted(doc["tour"]) == list(range(14))
     assert doc["tour_length"] > 3000
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "tsp"
+    assert manifest["command"] == "ga"
 
 
 def test_tsp_rejects_narrow_genome(ga_config_file, burma_file, tmp_path, capsys):
     # 16-bit genomes cannot index 14! tours
+    out = tmp_path / "o"
     rc = main(
-        ["tsp", "--config", ga_config_file, "--instance", burma_file,
-         "--out", str(tmp_path / "o")]
+        ["ga", "--config", ga_config_file, "--instance", burma_file, "--out", str(out)]
     )
     assert rc == 1
     assert "need at least 37 bits" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
-def test_tsp_instance_parse_error(tsp_config_file, tmp_path):
+def test_tsp_instance_parse_error(tsp_config_file, tmp_path, capsys):
     bad = tmp_path / "bad.tsp"
     bad.write_text("DIMENSION: nope\n")
     rc = main(
-        ["tsp", "--config", tsp_config_file, "--instance", str(bad),
+        ["ga", "--config", tsp_config_file, "--instance", str(bad),
          "--out", str(tmp_path / "o")]
     )
     assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 1: bad DIMENSION 'nope'\n"
 
 
 # ---- track ----
@@ -380,11 +422,13 @@ def test_track_multiple_seeds_with_noise(waypoint_file, tmp_path):
     assert [s["seed"] for s in summaries] == [1, 2]
 
 
-def test_track_bad_waypoints(tmp_path):
+def test_track_bad_waypoints(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("1 2 3\n")
-    rc = main(["track", "--path", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 2
+    for text in ("1 2 3\n", "0 0\n1000 nan\n"):
+        bad.write_text(text)
+        rc = main(["track", "--path", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2, text
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line "), text
 
 
 def test_track_rejects_bad_numbers(waypoint_file, tmp_path):
@@ -417,15 +461,26 @@ def test_rerun_rejects_manifest_without_argv(tmp_path):
     doc = tmp_path / "manifest.json"
     doc.write_text(json.dumps({"outputs": []}))
     assert main(["rerun", str(doc)]) == 2
+    doc.write_text(json.dumps(["ga", "--fn", "sphere"]))  # not a manifest object
+    assert main(["rerun", str(doc)]) == 2
 
 
-def test_parallel_jobs_byte_identical(ga_config_file, tmp_path):
+def test_parallel_jobs_byte_identical(
+    ga_config_file, tsp_config_file, burma_file, waypoint_file, tmp_path
+):
     seeds = ["--seeds", "0x1111,0x2222,0x3333,0x4444",
              "--seeds", "0x5555,0x6666,0x7777,0x8888",
              "--seeds", "0x0AAA,0x0BBB,0x0CCC,0x0DDD"]
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    base = ["ga", "--config", ga_config_file, "--fn", "rosenbrock"]
-    assert main(base + seeds + ["--out", str(serial), "--jobs", "1"]) == 0
-    assert main(base + seeds + ["--out", str(parallel), "--jobs", "3"]) == 0
-    assert _hash_tree(serial) == _hash_tree(parallel)
+    for name, argv, jobs in (
+        ("rosenbrock", ["ga", "--config", ga_config_file, "--fn", "rosenbrock"] + seeds,
+         "3"),
+        ("burma14", ["ga", "--config", tsp_config_file, "--instance", burma_file]
+         + seeds[:4], "2"),
+        ("track", ["track", "--path", waypoint_file, "--noise", "0.05,0.001",
+                   "--seeds", "1,2,3"], "3"),
+    ):
+        serial = tmp_path / f"{name}_serial"
+        parallel = tmp_path / f"{name}_parallel"
+        assert main(argv + ["--out", str(serial), "--jobs", "1"]) == 0
+        assert main(argv + ["--out", str(parallel), "--jobs", jobs]) == 0
+        assert _hash_tree(serial) == _hash_tree(parallel), name

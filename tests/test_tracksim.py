@@ -14,6 +14,7 @@ from fuzzychip.tracksim import (
     build_tracker_spec,
     closest_point,
     code_to_curvature,
+    error_maps,
     interpolate_path,
     load_waypoints,
     path_distance,
@@ -113,6 +114,11 @@ def _east_path():
     return interpolate_path([(0, 0), (1000, 0)], 100.0)
 
 
+def _window_command(path, pose, params, spec):
+    start = closest_point(path, pose)
+    return spatial_window_command(path, start, pose, params, spec, error_maps(params))
+
+
 def test_lateral_error_positive_when_path_on_left():
     path = _east_path()
     # facing east, path line above the robot
@@ -181,7 +187,7 @@ def test_window_command_zero_on_path():
     params = TrackerParams()
     path = _east_path()
     spec = build_tracker_spec(params)
-    kappa = spatial_window_command(path, Pose(300.0, 0.0, 0.0), params, spec)
+    kappa = _window_command(path, Pose(300.0, 0.0, 0.0), params, spec)
     assert kappa == pytest.approx(0.0, abs=1e-12)
 
 
@@ -190,8 +196,8 @@ def test_window_command_steers_toward_path():
     path = _east_path()
     spec = build_tracker_spec(params)
     # path on the left -> positive curvature (turn left), and vice versa
-    assert spatial_window_command(path, Pose(300.0, -400.0, 0.0), params, spec) > 0
-    assert spatial_window_command(path, Pose(300.0, 400.0, 0.0), params, spec) < 0
+    assert _window_command(path, Pose(300.0, -400.0, 0.0), params, spec) > 0
+    assert _window_command(path, Pose(300.0, 400.0, 0.0), params, spec) < 0
 
 
 def test_window_command_matches_manual_mean():
@@ -209,7 +215,8 @@ def test_window_command_matches_manual_mean():
         out = infer(spec, (quantize(e_d, d_map).value, quantize(e_t, t_map).value))
         total += code_to_curvature(out.value, params.kappa_max)
     expect = max(min(total / len(idxs), params.kappa_max), -params.kappa_max)
-    assert spatial_window_command(path, pose, params, spec) == pytest.approx(expect)
+    got = spatial_window_command(path, start, pose, params, spec, (d_map, t_map))
+    assert got == pytest.approx(expect)
 
 
 def test_window_truncates_at_path_end():
@@ -217,7 +224,7 @@ def test_window_truncates_at_path_end():
     path = _east_path()
     spec = build_tracker_spec(params)
     pose = Pose(995.0, 5.0, 0.0)  # closest sample is the last one
-    kappa = spatial_window_command(path, pose, params, spec)
+    kappa = _window_command(path, pose, params, spec)
     assert abs(kappa) <= params.kappa_max
 
 
@@ -353,3 +360,7 @@ def test_waypoint_file_comments_and_errors(tmp_path):
     bad.write_text("10 20\n30 40 50\n")
     with pytest.raises(ValueError, match="line 2"):
         load_waypoints(bad)
+    for text in ("0 0\ninf 0\n", "0 0\n5 nan\n"):  # inf once hung interpolate_path
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_waypoints(bad)
