@@ -7,7 +7,8 @@ that write files first write a manifest.json capturing the invocation
 (temp + rename), so an interrupted run leaves the manifest but no partial
 results. `rerun manifest.json` replays the stored argv.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O or parse error. Set
+Exit codes: 0 success, 1 validation failure, 2 I/O, parse or usage error
+(a bad command line prints one `error:` line, without the usage block). Set
 FUZZYCHIP_LOG=debug|info|warning for progress logging on stderr.
 """
 
@@ -362,8 +363,16 @@ def cmd_rerun(args) -> int:
 # ---- parser wiring ----
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become CliError (exit 2) instead of SystemExit; the
+    subcommand parsers inherit this class. --help and --version still exit."""
+
+    def error(self, message: str):
+        raise CliError(EXIT_IO, f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fuzzychip",
         description="Fixed-point fuzzy inference, hardware-style GA, and "
                     "path-tracking simulation.",
@@ -427,9 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     _setup_logging()
-    args = build_parser().parse_args(argv)
-    args.argv = list(argv)
     try:
+        args = build_parser().parse_args(argv)
+        args.argv = list(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,11 @@ maximal-length LFSR streams. Four independent streams are used in a fixed
 order: population init, then selection / crossover / mutation, so every run
 is reproducible from its four seeds.
 
+A word is sixteen single-bit shifts (lfsr_step, the specification). The
+word equals the state it started from, and the next state, a GF(2)-linear
+map of it, is the XOR of two 256-entry table reads, one per state byte;
+lfsr_next says why.
+
 Genomes are unsigned ints of genom_lngt bits (bit 0 = LSB); scores are
 unsigned ints of score_sz bits.
 """
@@ -51,20 +56,48 @@ def lfsr_step(state: int) -> tuple[int, int]:
     return (state >> 1) | (fb << 15), state & 1
 
 
+def _advance16(state: int) -> int:
+    for _ in range(16):
+        state, _ = lfsr_step(state)
+    return state
+
+
+def _byte_table(columns: Sequence[int]) -> tuple[int, ...]:
+    """Images under _advance16 of all 256 bytes, given the images of their
+    eight single bits: a byte's image is the XOR of its bits' images."""
+    table = [0] * 256
+    for b in range(1, 256):
+        low = (b & -b).bit_length() - 1
+        table[b] = table[b & (b - 1)] ^ columns[low]
+    return tuple(table)
+
+
+_COLUMNS = [_advance16(1 << i) for i in range(16)]
+_NEXT_LO = _byte_table(_COLUMNS[:8])  # low byte of the state
+_NEXT_HI = _byte_table(_COLUMNS[8:])  # high byte of the state
+
+
+def _reject_state(state: int) -> None:
+    raise ValueError(f"LFSR state must be a nonzero 16-bit value, got {state}")
+
+
 def lfsr_next(state: int) -> tuple[int, int]:
-    """Sixteen single-bit steps; the emitted bits assemble LSB-first into the
-    output word. Returns (new state, word). State 0 is absorbing: rejected."""
-    if not 0 < state < (1 << 16):
-        raise ValueError(f"LFSR state must be a nonzero 16-bit value, got {state}")
-    word = 0
-    for i in range(16):
-        state, bit = lfsr_step(state)
-        word |= bit << i
-    return state, word
+    """Sixteen lfsr_step calls in one lookup; returns (new state, word).
+
+    Each step shifts the state right by one and emits the bit shifted out,
+    so after sixteen steps the bits emitted LSB-first are exactly the bits
+    of the starting state: the word is the state itself. The new state is a
+    linear map of the old one over GF(2) (shifts and XORs only), so it is
+    the XOR of the images of the low byte and of the high byte, read from
+    two 256-entry tables built from lfsr_step at import. State 0 is
+    absorbing: rejected."""
+    if not 0 < state < 0x10000:
+        _reject_state(state)
+    return _NEXT_LO[state & 0xFF] ^ _NEXT_HI[state >> 8], state
 
 
 class Lfsr16:
-    """Mutable word-at-a-time wrapper around lfsr_next."""
+    """Mutable word-at-a-time stream with the transitions of lfsr_next."""
 
     def __init__(self, seed: int):
         if not 0 < seed < (1 << 16):
@@ -72,11 +105,25 @@ class Lfsr16:
         self.state = seed
 
     def next_word(self) -> int:
-        self.state, word = lfsr_next(self.state)
+        word = self.state
+        if not 0 < word < 0x10000:
+            _reject_state(word)
+        self.state = _NEXT_LO[word & 0xFF] ^ _NEXT_HI[word >> 8]
         return word
 
     def next_words(self, count: int) -> list[int]:
-        return [self.next_word() for _ in range(count)]
+        """The next `count` words, as `count` next_word calls would give."""
+        state = self.state
+        if not 0 < state < 0x10000:
+            _reject_state(state)
+        lo, hi = _NEXT_LO, _NEXT_HI
+        words = []
+        append = words.append
+        for _ in range(count):
+            append(state)
+            state = lo[state & 0xFF] ^ hi[state >> 8]
+        self.state = state
+        return words
 
 
 def _words_needed(bits: int) -> int:
@@ -86,8 +133,8 @@ def _words_needed(bits: int) -> int:
 def _draw_bits(rng: Lfsr16, bits: int) -> int:
     """Assemble a bits-wide value from 16-bit words, first word lowest."""
     value = 0
-    for i in range(_words_needed(bits)):
-        value |= rng.next_word() << (16 * i)
+    for i, word in enumerate(rng.next_words(_words_needed(bits))):
+        value |= word << (16 * i)
     return value & ((1 << bits) - 1)
 
 
@@ -238,8 +285,9 @@ def mutate(g: int, bits: int, method: str, mr: int, mut_res: int, rng: Lfsr16) -
     if method == SINGLE_BIT:
         return g ^ (1 << (rng.next_word() % bits))
     if method == BIT_FLIP:
-        for b in range(bits):
-            if (rng.next_word() & ((1 << mut_res) - 1)) < mr:
+        res_mask = (1 << mut_res) - 1
+        for b, word in enumerate(rng.next_words(bits)):
+            if (word & res_mask) < mr:
                 g ^= 1 << b
         return g
     raise ValueError(f"unknown mut_method {method!r}")

@@ -8,6 +8,7 @@ the TSPLIB conventions for EUC_2D and GEO edge weights.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -194,19 +195,24 @@ def tour_length(inst: TspInstance, tour) -> int:
 # ---- Lehmer tour encoding ----
 
 
+@functools.lru_cache(maxsize=32)
+def _factorials(n: int) -> tuple[int, ...]:
+    """(0!, 1!, ..., n!); math.factorial rejects a negative n."""
+    return tuple(math.factorial(k) for k in range(n)) + (math.factorial(n),)
+
+
 def lehmer_decode(value: int, n: int) -> tuple[int, ...]:
     """Factorial-base value in [0, n!) to a permutation of 0..n-1.
 
     Digit k (most significant first) selects from the remaining cities, so
     0 decodes to the identity and n! - 1 to the fully descending order."""
-    limit = math.factorial(n)
-    if not 0 <= value < limit:
-        raise ValueError(f"value {value} outside 0..{limit - 1}")
+    fact = _factorials(n)
+    if not 0 <= value < fact[n]:
+        raise ValueError(f"value {value} outside 0..{fact[n] - 1}")
     remaining = list(range(n))
     perm = []
     for k in range(n - 1, -1, -1):
-        base = math.factorial(k)
-        digit, value = divmod(value, base)
+        digit, value = divmod(value, fact[k])
         perm.append(remaining.pop(digit))
     return tuple(perm)
 

@@ -209,19 +209,21 @@ def spatial_window_command(
     params: TrackerParams,
     spec: FlcSpec,
     maps: tuple[DomainMap, DomainMap],
-) -> float:
+) -> tuple[float, tuple[float, float]]:
     """Mean of the per-sample controller outputs over `window` consecutive
     samples from `start`, the sample closest to the pose (truncated at the
-    path end), clamped to the curvature limit. `maps` is error_maps(params)."""
+    path end), clamped to the curvature limit. `maps` is error_maps(params).
+
+    Returns (kappa, tracking_errors at `start`); the errors feed the trace."""
     d_map, t_map = maps
     stop = min(start + params.window, len(path))
+    errors = [tracking_errors(path, idx, pose) for idx in range(start, stop)]
     total = 0.0
-    for idx in range(start, stop):
-        e_d, e_t = tracking_errors(path, idx, pose)
+    for e_d, e_t in errors:
         out = infer(spec, (quantize(e_d, d_map).value, quantize(e_t, t_map).value))
         total += code_to_curvature(out.value, params.kappa_max)
-    kappa = total / (stop - start)
-    return min(max(kappa, -params.kappa_max), params.kappa_max)
+    kappa = min(max(total / len(errors), -params.kappa_max), params.kappa_max)
+    return kappa, errors[0]
 
 
 # ---- vehicle kinematics and simulation ----
@@ -302,8 +304,7 @@ def simulate(
         idx = closest_point(path, est)
         if idx == last:
             break
-        kappa = spatial_window_command(path, idx, est, params, spec, maps)
-        e_d, e_t = tracking_errors(path, idx, est)
+        kappa, (e_d, e_t) = spatial_window_command(path, idx, est, params, spec, maps)
         rows.append(TraceRow(k * params.dt, true, est, e_d, e_t, kappa))
         true = step_kinematics(true, params.v, kappa, params.dt)
         est = step_kinematics(est, params.v, kappa, params.dt)

@@ -120,13 +120,29 @@ def test_module_entry_point():
     assert out.stdout.strip() == __version__
 
 
-def test_fn_and_instance_are_exclusive(ga_config_file, burma_file, tmp_path):
+def test_fn_and_instance_are_exclusive(ga_config_file, burma_file, tmp_path, capsys):
+    argv = ["ga", "--config", ga_config_file, "--fn", "sphere",
+            "--instance", burma_file, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not allowed with" in err
+    assert err.count("\n") == 1  # one line, no usage block
+    assert not (tmp_path / "o").exists()
+
+
+def test_usage_errors_return_two(capsys):
+    for argv in ([], ["bogus"], ["flc"], ["ga", "--out", "o"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(
-            ["ga", "--config", ga_config_file, "--fn", "sphere",
-             "--instance", burma_file, "--out", str(tmp_path / "o")]
-        )
-    assert exc.value.code == 2
+        main(["ga", "--help"])
+    assert exc.value.code == 0
+    assert "--instance" in capsys.readouterr().out
 
 
 # ---- flc validate ----
@@ -463,6 +479,18 @@ def test_rerun_rejects_manifest_without_argv(tmp_path):
     assert main(["rerun", str(doc)]) == 2
     doc.write_text(json.dumps(["ga", "--fn", "sphere"]))  # not a manifest object
     assert main(["rerun", str(doc)]) == 2
+
+
+def test_rerun_old_tsp_manifest_is_a_usage_error(tsp_config_file, burma_file, tmp_path, capsys):
+    # `tsp` was folded into `ga --instance`; its manifests no longer parse.
+    doc = tmp_path / "manifest.json"
+    doc.write_text(json.dumps({"argv": ["tsp", "--config", tsp_config_file,
+                                        "--instance", burma_file,
+                                        "--out", str(tmp_path / "o")]}))
+    assert main(["rerun", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "invalid choice: 'tsp'" in err
+    assert err.count("\n") == 1
 
 
 def test_parallel_jobs_byte_identical(

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
 
 import pytest
 
+from fuzzychip import problems
 from fuzzychip.ga import (
     BIT_FLIP,
     FITNESS_LIMIT,
@@ -88,6 +90,35 @@ def test_lfsr_next_rejects_bad_state():
     for bad in (0, -1, 1 << 16, 1 << 20):
         with pytest.raises(ValueError):
             lfsr_next(bad)
+
+
+def test_lfsr_next_equals_sixteen_steps_on_every_state():
+    # lfsr_step is the specification; the table lookup must agree everywhere.
+    for s in range(1, 1 << 16):
+        state, word = s, 0
+        for i in range(16):
+            state, bit = lfsr_step(state)
+            word |= bit << i
+        assert lfsr_next(s) == (state, word)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 40])
+def test_next_words_equals_repeated_next_word(count):
+    for seed in (0x0001, 0xACE1, 0xFFFF):
+        bulk, single = Lfsr16(seed), Lfsr16(seed)
+        assert bulk.next_words(count) == [single.next_word() for _ in range(count)]
+        assert bulk.state == single.state
+
+
+def test_lfsr16_rejects_corrupted_state():
+    for bad in (0, 1 << 16):
+        gen = Lfsr16(0xACE1)
+        gen.state = bad
+        with pytest.raises(ValueError):
+            gen.next_word()
+        for count in (0, 5):
+            with pytest.raises(ValueError):
+                gen.next_words(count)
 
 
 def test_lfsr16_wrapper():
@@ -536,6 +567,27 @@ def test_run_seeds_change_trajectory():
             on_generation=lambda gen, pop: pops.append(pop.genomes),
         )
     assert pops[0] != pops[1]
+
+
+def test_run_burma14_log_frozen():
+    # 300 generations of the acceptance-6 profile (40-bit Lehmer genomes,
+    # elite 26, uniform crossover, bit_flip mutation), every genome and score
+    # of every generation hashed; any changed LFSR draw changes the digest.
+    fit = problems.TspFitness(problems.load_builtin("burma14"), genom_lngt=40)
+    cfg = GaConfig(genom_lngt=40, pop_sz=32, scaling_factor_res=16, elite=26, mr=80,
+                   cross_method=UNIFORM, mut_method=BIT_FLIP, max_gen=300,
+                   seeds=(0x2468, 0xACE1, 0x5EED, 0x0F0F))
+    digest = hashlib.sha256()
+
+    def log(gen, pop):
+        digest.update(f"{gen}:{pop.genomes}:{pop.scores}\n".encode())
+
+    result = run(cfg, fit, on_generation=log)
+    digest.update(f"{result}\n".encode())
+    assert result.generations_run == 300
+    assert digest.hexdigest() == (
+        "f973392e1a181cbef41dcfe27871e2be3114bfd619a8f19a4fe3313195cac621"
+    )
 
 
 def test_run_rejects_invalid_config():

@@ -230,10 +230,15 @@ def test_lehmer_encode_decode_inverse():
 
 
 def test_lehmer_rejects_out_of_range():
+    # 0! = 1! = 1: sizes 0 and 1 accept only value 0.
+    for n in (0, 1, 2, 4, 14):
+        limit = math.factorial(n)
+        assert sorted(lehmer_decode(limit - 1, n)) == list(range(n))
+        for bad in (-1, limit, limit + 1):
+            with pytest.raises(ValueError):
+                lehmer_decode(bad, n)
     with pytest.raises(ValueError):
-        lehmer_decode(math.factorial(4), 4)
-    with pytest.raises(ValueError):
-        lehmer_decode(-1, 4)
+        lehmer_decode(0, -1)
 
 
 # ---- TSP fitness ----

@@ -116,7 +116,8 @@ def _east_path():
 
 def _window_command(path, pose, params, spec):
     start = closest_point(path, pose)
-    return spatial_window_command(path, start, pose, params, spec, error_maps(params))
+    kappa, _ = spatial_window_command(path, start, pose, params, spec, error_maps(params))
+    return kappa
 
 
 def test_lateral_error_positive_when_path_on_left():
@@ -215,8 +216,9 @@ def test_window_command_matches_manual_mean():
         out = infer(spec, (quantize(e_d, d_map).value, quantize(e_t, t_map).value))
         total += code_to_curvature(out.value, params.kappa_max)
     expect = max(min(total / len(idxs), params.kappa_max), -params.kappa_max)
-    got = spatial_window_command(path, start, pose, params, spec, (d_map, t_map))
+    got, got_errors = spatial_window_command(path, start, pose, params, spec, (d_map, t_map))
     assert got == pytest.approx(expect)
+    assert got_errors == tracking_errors(path, start, pose)
 
 
 def test_window_truncates_at_path_end():
