@@ -22,8 +22,16 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__, flc, ga, problems, tracksim
-from .flcref import infer_real, lift, quantization_bound
+from .flcref import (
+    infer_real,
+    infer_real_batch,
+    lift,
+    pair_tables_real,
+    quantization_bound,
+)
 
 log = logging.getLogger("fuzzychip")
 
@@ -52,13 +60,26 @@ def _setup_logging() -> None:
 # ---- deterministic file plumbing ----
 
 
-def _write_text(path: str, text: str) -> None:
-    """Atomic write: a reader never observes a half-written result."""
+def _write_chunks(path: str, chunks) -> None:
+    """Atomic write of an iterable of str chunks: a reader never observes a
+    half-written result, and a write that fails (also inside the iterable)
+    leaves no temp file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-    log.info("wrote %s (%d bytes)", path, len(text))
+    size = 0
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                size += len(chunk)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    log.info("wrote %s (%d bytes)", path, size)
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_chunks(path, (text,))
 
 
 def _json_text(doc) -> str:
@@ -173,6 +194,44 @@ def cmd_flc_timing(args) -> int:
     return EXIT_OK
 
 
+# grid points per batched block of sweep.csv rows; memory grows with the
+# block, not with the grid
+SWEEP_BLOCK = 1 << 12
+
+
+def _sweep_chunks(spec: flc.FlcSpec):
+    """sweep.csv text, one chunk per block of grid rows (x0 outer, x1 inner).
+
+    Both models fire from per-input pair tables built once over the sweep
+    axis. Fixed degrees never exceed real ones, so a zero real denominator
+    implies a zero fixed one at the same point: the fixed check, which runs
+    first on each block, decides the error message.
+    """
+    rspec = lift(spec)
+    tables = flc.pair_tables(spec)
+    rtables = pair_tables_real(spec, rspec)
+    size = 1 << spec.in_bits
+    out_scale = 1 << spec.out_bits
+    axis = np.arange(size)
+    step = SWEEP_BLOCK if spec.n == 1 else max(1, SWEEP_BLOCK // size)
+    yield ("x0,fixed_code,real_value,abs_error\n" if spec.n == 1
+           else "x0,x1,fixed_code,real_value,abs_error\n")
+    for start in range(0, size, step):
+        block = axis[start:start + step]
+        codes = (block,) if spec.n == 1 else (block[:, None], axis)
+        code = flc.infer_batch(spec, [t.at(x) for t, x in zip(tables, codes)]).ravel()
+        real = infer_real_batch(rspec, [t.at(x) for t, x in zip(rtables, codes)]).ravel()
+        err = np.abs(code.astype(np.float64) / out_scale - real)
+        if spec.n == 1:
+            prefixes = block.tolist()
+        else:
+            prefixes = [f"{x0},{x1}" for x0 in block.tolist() for x1 in range(size)]
+        yield "".join(
+            f"{p},{c},{r:.9f},{e:.3e}\n"
+            for p, c, r, e in zip(prefixes, code.tolist(), real.tolist(), err.tolist())
+        )
+
+
 def cmd_flc_sweep(args) -> int:
     spec = _load(args.spec, flc.load_spec)
     _require_valid(spec)
@@ -180,26 +239,11 @@ def cmd_flc_sweep(args) -> int:
         raise CliError(EXIT_INVALID, f"sweep supports 1 or 2 inputs, spec has {spec.n}")
     out_dir = _prepare_out_dir(args)
     _write_manifest(out_dir, "flc sweep", args.argv, args.spec, None, ["sweep.csv"])
-
-    rspec = lift(spec)
-    in_scale = 1 << spec.in_bits
-    out_scale = 1 << spec.out_bits
-    grid = range(in_scale)
-    lines = ["x0,fixed_code,real_value,abs_error" if spec.n == 1
-             else "x0,x1,fixed_code,real_value,abs_error"]
-    points = ((x,) for x in grid) if spec.n == 1 else (
-        (x0, x1) for x0 in grid for x1 in grid)
     try:
-        for xs in points:
-            code = flc.infer(spec, xs).value
-            real = infer_real(rspec, [x / in_scale for x in xs])
-            err = abs(code / out_scale - real)
-            prefix = ",".join(str(x) for x in xs)
-            lines.append(f"{prefix},{code},{real:.9f},{err:.3e}")
+        _write_chunks(os.path.join(out_dir, "sweep.csv"), _sweep_chunks(spec))
     except flc.DenominatorZero as exc:
         raise CliError(EXIT_INVALID, str(exc)) from exc
-    _write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
-    print(f"sweep.csv: {len(lines) - 1} rows")
+    print(f"sweep.csv: {(1 << spec.in_bits) ** spec.n} rows")
     return EXIT_OK
 
 

@@ -7,6 +7,14 @@ with truncating division, and a cycle/latency model for the standard
 (one active rule per clock) and odd-even (two active rules per clock)
 processing schedules.
 
+Batched inference (`pair_tables`, `infer_batch`) lowers a spec to one
+`PairTable` per input -- `left`, `deg_left` and `deg_right` for every code of
+the input universe, each filled by one scalar `active_pair` call -- and then
+fires the 2^n active rules of a whole block of points with numpy, in the
+`itertools.product((0, 1), repeat=n)` offset order of `active_rules`. The
+membership arithmetic is never re-implemented, so the batched codes equal
+`infer` point for point.
+
 Width conventions:
     input codes       in_bits     unsigned
     degrees of truth  alpha_bits  0 .. 2^alpha_bits - 1
@@ -17,10 +25,13 @@ Width conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .fixedq import FixedWord, round_half_away
 
@@ -35,6 +46,9 @@ MODES = (STANDARD, ODD_EVEN)
 
 class DenominatorZero(ArithmeticError):
     """No rule fired with nonzero weight; the weighted average is undefined."""
+
+
+ZERO_DENOMINATOR = "all rule weights are zero for this input vector"
 
 
 # ---- membership functions and partitions ----
@@ -209,7 +223,11 @@ def validate_spec(spec: FlcSpec) -> ValidationReport:
 
 @dataclass(frozen=True)
 class ActivePair:
-    """The two candidate MFs of one input: indices (left, left + 1)."""
+    """The two candidate MFs of one input: indices (left, left + 1).
+
+    The fields are scalars for one code, or arrays for a block of codes
+    (`PairTable.at`).
+    """
 
     left: int
     deg_left: int
@@ -308,7 +326,7 @@ def active_rules(spec: FlcSpec, inputs: Sequence[int]) -> ActiveRuleSet:
 
 def _defuzzify(spec: FlcSpec, num: int, den: int) -> FixedWord:
     if den == 0:
-        raise DenominatorZero("all rule weights are zero for this input vector")
+        raise DenominatorZero(ZERO_DENOMINATOR)
     q = num // den  # consequent-universe code, cons_bits wide
     return FixedWord(q << (spec.out_bits - spec.cons_bits), spec.out_bits)
 
@@ -341,6 +359,93 @@ def infer_full_rulebase(spec: FlcSpec, inputs: Sequence[int]) -> FixedWord:
             num += w * y
             den += w
     return _defuzzify(spec, num, den)
+
+
+# ---- batched inference over per-input pair tables ----
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """One input's active pair at every code of its universe, indexed by code."""
+
+    left: np.ndarray
+    deg_left: np.ndarray
+    deg_right: np.ndarray
+
+    def at(self, codes: np.ndarray) -> ActivePair:
+        """The pairs of an array of codes; each must lie in the universe."""
+        return ActivePair(self.left[codes], self.deg_left[codes], self.deg_right[codes])
+
+
+def tabulate_pairs(pair_at, size: int, dtype) -> PairTable:
+    """PairTable of the scalar pair_at(x) for x in 0 .. size - 1."""
+    table = PairTable(np.empty(size, np.intp), np.empty(size, dtype), np.empty(size, dtype))
+    for x in range(size):
+        pair = pair_at(x)
+        table.left[x] = pair.left
+        table.deg_left[x] = pair.deg_left
+        table.deg_right[x] = pair.deg_right
+    return table
+
+
+def batch_dtype(spec: FlcSpec):
+    """Integer dtype of the batched datapath.
+
+    num sums 2^n products w * y < 2^(alpha_bits + cons_bits) and a PROD fold
+    step forms w * mu < 2^(2 * alpha_bits). int64 holds both while those
+    exponents stay at or below 62; wider specs run the same code on object
+    arrays of Python ints.
+    """
+    if spec.alpha_bits + spec.cons_bits + spec.n <= 62 and 2 * spec.alpha_bits <= 62:
+        return np.int64
+    return object
+
+
+def pair_tables(spec: FlcSpec) -> tuple[PairTable, ...]:
+    """Per-input pair tables over 0 .. 2^in_bits - 1, from active_pair."""
+    dtype = batch_dtype(spec)
+    return tuple(
+        tabulate_pairs(
+            lambda x, part=part: active_pair(part, x, spec.alpha_bits),
+            1 << spec.in_bits,
+            dtype,
+        )
+        for part in spec.partitions
+    )
+
+
+def fire_pairs(pairs: Sequence[ActivePair], m: int) -> Iterator[tuple[list, object]]:
+    """(per-input degrees, rule address) of each of the 2^n active rules.
+
+    Offsets run in itertools.product((0, 1), repeat=n) order. Array fields
+    broadcast against each other, so a grid block can pass a column of x0
+    codes and a row of x1 codes.
+    """
+    for offsets in itertools.product((0, 1), repeat=len(pairs)):
+        degs = [(p.deg_left, p.deg_right)[off] for p, off in zip(pairs, offsets)]
+        addr = sum((p.left + off) * m**k for k, (p, off) in enumerate(zip(pairs, offsets)))
+        yield degs, addr
+
+
+def infer_batch(spec: FlcSpec, pairs: Sequence[ActivePair]) -> np.ndarray:
+    """infer(spec, xs).value at every point of a block of gathered pairs.
+
+    Same integer arithmetic as infer, on the dtype of the tables: MIN or the
+    PROD fold per firing, then num // den and the output shift. Raises
+    DenominatorZero if any point of the block has a zero denominator.
+    """
+    ys = np.array(spec.singletons, dtype=pairs[0].deg_left.dtype)
+    num = den = 0
+    for degs, addr in fire_pairs(pairs, spec.m):
+        if spec.and_method == MIN:
+            w = functools.reduce(np.minimum, degs)
+        else:
+            w = antecedent_weight(degs, spec.and_method, spec.alpha_bits)
+        num = num + w * ys[addr]
+        den = den + w
+    if np.any(den == 0):
+        raise DenominatorZero(ZERO_DENOMINATOR)
+    return (num // den) << (spec.out_bits - spec.cons_bits)
 
 
 # ---- timing model ----

@@ -1,19 +1,41 @@
 """Floating-point reference model for the fixed-point inference core.
 
 Lifts a fixed-point spec into the real unit interval (codes divided by
-2^bits), evaluates the full rulebase in float arithmetic, and produces an
+2^bits), evaluates the rulebase in float arithmetic, and produces an
 a-priori bound on the disagreement between the lifted fixed output and the
 real output. Every truncation in the integer datapath only ever lowers a
 weight, so the bound composes one-sided error terms.
+
+Under the overlap-2 invariant every nonzero real degree at x lies in the
+pair `active_pair_real` returns, so the real model fires only the 2^n active
+rules, scalar (`infer_real`) and batched over per-input pair tables
+(`pair_tables_real`, `infer_real_batch`). Both add the nonzero terms in
+`itertools.product((0, 1), repeat=n)` offset order, which is the order of
+the full m^n loop restricted to the pairs, so their float bits equal the
+full-rulebase evaluation.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .flc import MIN, PROD, DenominatorZero, FlcSpec, membership
+import numpy as np
+
+from .flc import (
+    MIN,
+    ActivePair,
+    DenominatorZero,
+    FlcSpec,
+    PairTable,
+    fire_pairs,
+    membership,
+    tabulate_pairs,
+)
+
+REAL_ZERO_DENOMINATOR = "all real rule weights are zero for this input vector"
 
 
 @dataclass(frozen=True)
@@ -63,25 +85,61 @@ def membership_real(mf: tuple[float, float, float, float], x: float) -> float:
     return (d - x) / (d - c)
 
 
+def active_pair_real(partition, x: float) -> ActivePair:
+    """Lowest MF index with a nonzero real degree (clamped to m - 2) and both
+    degrees; (0, 1) with zero degrees when no degree is nonzero."""
+    degs = [membership_real(mf, x) for mf in partition]
+    left = next((i for i, d in enumerate(degs) if d > 0.0), 0)
+    left = min(left, len(degs) - 2)
+    return ActivePair(left, degs[left], degs[left + 1])
+
+
 def infer_real(rspec: RealFlcSpec, xs: list[float] | tuple[float, ...]) -> float:
-    """Weighted average of all m^n rule singletons in float arithmetic."""
+    """Weighted average of the active rule singletons in float arithmetic."""
     if len(xs) != rspec.n:
         raise ValueError(f"expected {rspec.n} inputs, got {len(xs)}")
-    m = rspec.m
-    mu = [
-        [membership_real(mf, x) for mf in part]
-        for part, x in zip(rspec.partitions, xs)
-    ]
+    pairs = [active_pair_real(part, x) for part, x in zip(rspec.partitions, xs)]
     num = den = 0.0
-    for idxs in itertools.product(range(m), repeat=rspec.n):
-        degs = [mu[k][idx] for k, idx in enumerate(idxs)]
+    for degs, addr in fire_pairs(pairs, rspec.m):
         w = min(degs) if rspec.and_method == MIN else math.prod(degs)
         if w > 0.0:
-            addr = sum(idx * m**k for k, idx in enumerate(idxs))
             num += w * rspec.singletons[addr]
             den += w
     if den == 0.0:
-        raise DenominatorZero("all real rule weights are zero for this input vector")
+        raise DenominatorZero(REAL_ZERO_DENOMINATOR)
+    return num / den
+
+
+def pair_tables_real(spec: FlcSpec, rspec: RealFlcSpec) -> tuple[PairTable, ...]:
+    """Per-input real pair tables over the codes 0 .. 2^in_bits - 1 of spec,
+    each code lifted as in infer_real's callers (x / 2^in_bits)."""
+    in_scale = 1 << spec.in_bits
+    return tuple(
+        tabulate_pairs(
+            lambda x, part=part: active_pair_real(part, x / in_scale),
+            in_scale,
+            np.float64,
+        )
+        for part in rspec.partitions
+    )
+
+
+def infer_real_batch(rspec: RealFlcSpec, pairs: Sequence[ActivePair]) -> np.ndarray:
+    """infer_real at every point of a block of gathered real pairs.
+
+    num and den grow one firing at a time where w > 0.0, as in the scalar
+    loop (no np.sum, whose pairwise order would change the float bits).
+    """
+    ys = np.array(rspec.singletons, dtype=np.float64)
+    num = den = 0.0
+    combine = np.minimum if rspec.and_method == MIN else np.multiply
+    for degs, addr in fire_pairs(pairs, rspec.m):
+        w = functools.reduce(combine, degs)
+        fired = w > 0.0
+        num = np.where(fired, num + w * ys[addr], num)
+        den = np.where(fired, den + w, den)
+    if np.any(den == 0.0):
+        raise DenominatorZero(REAL_ZERO_DENOMINATOR)
     return num / den
 
 

@@ -4,11 +4,19 @@ random_valid_spec builds controller specs from a random peak family with
 plateau extensions capped at half the neighbor gap, which guarantees every
 structural invariant (ordering, coverage, overlap degree 2, no shared
 plateau points) by construction, plus a nonzero membership envelope so the
-weighted-average denominator never vanishes.
+weighted-average denominator never vanishes. knot_partition drops those
+guarantees to reach degenerate edges (a == b, c == d) and codes where every
+degree is zero; its specs must be validated by the caller.
+
+The hypothesis profile is derandomized, so each run replays the same
+examples, and max_examples bounds the time the property tests add.
 """
 
 import random
 
+from hypothesis import settings
+
+from fuzzychip import flc
 from fuzzychip.flc import (
     MIN,
     PROD,
@@ -18,6 +26,11 @@ from fuzzychip.flc import (
     validate_spec,
 )
 from fuzzychip.ga import Lfsr16
+
+settings.register_profile(
+    "derandomized", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("derandomized")
 
 
 def random_partition(rnd: random.Random, in_bits: int, m: int):
@@ -69,6 +82,49 @@ def random_valid_spec(
     report = validate_spec(spec)
     assert report.ok, f"generator produced an invalid spec: {report.problems}"
     return spec
+
+
+def knot_partition(rnd: random.Random, in_bits: int, m: int):
+    """m MFs from 2m sorted knots (b_i, c_i), b_0 = 0 and c_{m-1} = top; each
+    right edge ends and the next left edge starts at random codes between
+    c_i and b_{i+1}. Repeated knots give degenerate edges and shared points."""
+    top = (1 << in_bits) - 1
+    knots = [0] + sorted(rnd.randint(0, top) for _ in range(2 * m - 2)) + [top]
+    b, c = knots[0::2], knots[1::2]
+    d = [rnd.randint(c[i], b[i + 1]) for i in range(m - 1)] + [top]
+    a = [0] + [rnd.randint(c[i - 1], d[i - 1]) for i in range(1, m)]
+    return tuple(MembershipFunction(*mf) for mf in zip(a, b, c, d))
+
+
+def random_knot_spec(rnd: random.Random, n: int, in_bits: int, alpha_bits: int,
+                     and_method: str) -> FlcSpec:
+    """A knot_partition spec; may fail validate_spec (shared plateau points)."""
+    m = rnd.randint(2, 5)
+    cons_bits = rnd.randint(1, 12)
+    return FlcSpec(
+        in_bits=in_bits,
+        out_bits=cons_bits + rnd.randint(0, 4),
+        alpha_bits=alpha_bits,
+        cons_bits=cons_bits,
+        partitions=tuple(knot_partition(rnd, in_bits, m) for _ in range(n)),
+        singletons=tuple(rnd.randint(0, (1 << cons_bits) - 1) for _ in range(m**n)),
+        and_method=and_method,
+    )
+
+
+def acceptance_corpus():
+    """(spec, input vector) pairs of acceptance criteria 1 and 2: >= 1000
+    random small specs plus 100 inputs on the shipped 4-input / 7-MF /
+    2401-rule core."""
+    rnd = random.Random(20240817)
+    pairs = []
+    for _ in range(350):
+        spec = random_valid_spec(rnd)
+        for _ in range(3):
+            pairs.append((spec, random_inputs(rnd, spec)))
+    big = flc.default_core_spec()
+    big_pairs = [(big, random_inputs(rnd, big)) for _ in range(100)]
+    return pairs, big_pairs
 
 
 def random_inputs(rnd: random.Random, spec: FlcSpec):

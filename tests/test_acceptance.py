@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import random_inputs, random_valid_spec, spawn_seed_sets
+from conftest import acceptance_corpus, spawn_seed_sets
 from fuzzychip import flc, ga, problems, tracksim
 from fuzzychip.cli import main
 from fuzzychip.flcref import infer_real, lift, quantization_bound
@@ -40,17 +40,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def corpus():
-    """(spec, input vector) pairs: >= 1000 random small specs plus 100 inputs
-    on the shipped 4-input / 7-MF / 2401-rule core."""
-    rnd = random.Random(20240817)
-    pairs = []
-    for _ in range(350):
-        spec = random_valid_spec(rnd)
-        for _ in range(3):
-            pairs.append((spec, random_inputs(rnd, spec)))
-    big = flc.default_core_spec()
-    big_pairs = [(big, random_inputs(rnd, big)) for _ in range(100)]
-    return pairs, big_pairs
+    return acceptance_corpus()
 
 
 def test_acceptance_1_active_rule_equivalence(corpus):

@@ -1,13 +1,16 @@
 import hashlib
+import itertools
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from conftest import random_knot_spec
 from fuzzychip import __version__, flc, ga, problems
 from fuzzychip.cli import main
-from fuzzychip.flcref import quantization_bound
+from fuzzychip.flcref import infer_real, lift, quantization_bound
 from fuzzychip.tracksim import TRACE_HEADER, save_waypoints, straight_waypoints
 
 # ---- fixtures ----
@@ -256,6 +259,124 @@ def test_sweep_writes_grid_and_manifest(small_spec_file, tmp_path, capsys):
 def test_sweep_rejects_many_inputs(core_spec_file, tmp_path):
     rc = main(["flc", "sweep", "--spec", core_spec_file, "--out", str(tmp_path / "o")])
     assert rc == 1  # four inputs cannot be swept
+
+
+def _frozen_sweep_specs() -> dict[str, flc.FlcSpec]:
+    MF = flc.MembershipFunction
+    return {
+        # one input, PROD, a c == d / a == b step at code 150
+        "n1_prod": flc.FlcSpec(
+            in_bits=8, out_bits=10, alpha_bits=5, cons_bits=6,
+            partitions=((MF(0, 0, 0, 90), MF(0, 90, 150, 150), MF(150, 150, 255, 255)),),
+            singletons=(5, 40, 63), and_method=flc.PROD),
+        # the benchmark's sweep shape: 2 inputs, 9 MFs, MIN, 7-bit grid
+        "n2_min_9mf": flc.FlcSpec(
+            in_bits=7, out_bits=12, alpha_bits=8, cons_bits=8,
+            partitions=(flc.uniform_partition(7, 9),) * 2,
+            singletons=tuple((37 * i + 11) % 256 for i in range(81))),
+        # 2 bits of degree: edges floor to zero inside the supports
+        "n2_alpha2": flc.FlcSpec(
+            in_bits=6, out_bits=6, alpha_bits=2, cons_bits=4,
+            partitions=(flc.uniform_partition(6, 4),) * 2,
+            singletons=tuple((5 * i + 3) % 16 for i in range(16))),
+    }
+
+
+# sha256 of sweep.csv from the scalar per-point sweep the batched one replaced
+FROZEN_SWEEP_SHA256 = {
+    "n1_prod": "60f46d8a242004b28092a5a93d6d34afedb00ee3a7fab0e46b4d9c48b5604fb8",
+    "n2_min_9mf": "d8e63f0a7511f42a51925b1849cb2f12e75caeeb58666110f487ce2b3b9a9529",
+    "n2_alpha2": "b607cef62bc42339efeaa3142e257c3e90313a93f8988dbb8b0e60c53a52a053",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SWEEP_SHA256))
+def test_sweep_bytes_frozen(name, tmp_path, capsys):
+    spec = _frozen_sweep_specs()[name]
+    path = tmp_path / "spec.json"
+    flc.dump_spec(spec, path)
+    out = tmp_path / "o"
+    assert main(["flc", "sweep", "--spec", str(path), "--out", str(out)]) == 0
+    rows = (1 << spec.in_bits) ** spec.n
+    assert capsys.readouterr().out == f"sweep.csv: {rows} rows\n"
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == FROZEN_SWEEP_SHA256[name]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep.csv"]
+
+
+def test_frozen_alpha2_spec_floors_edges_to_zero():
+    spec = _frozen_sweep_specs()["n2_alpha2"]
+    mf = spec.partitions[0][1]
+    assert mf.a < 5 < mf.b and flc.membership(mf, 5, spec.alpha_bits) == 0
+
+
+@pytest.mark.parametrize("and_method", [flc.MIN, flc.PROD])
+def test_sweep_32_bit_widths_match_scalar(and_method, tmp_path):
+    # int64 would overflow in w * y and in the PROD fold: object arrays
+    rnd = random.Random(32)
+    spec = flc.FlcSpec(
+        in_bits=4, out_bits=32, alpha_bits=32, cons_bits=32,
+        partitions=(flc.uniform_partition(4, 3),) * 2,
+        singletons=tuple(rnd.randrange(1 << 32) for _ in range(9)),
+        and_method=and_method)
+    assert flc.batch_dtype(spec) is object
+    path = tmp_path / "wide.json"
+    flc.dump_spec(spec, path)
+    assert main(["flc", "sweep", "--spec", str(path), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    rspec = lift(spec)
+    want = ["x0,x1,fixed_code,real_value,abs_error"]
+    for x0 in range(16):
+        for x1 in range(16):
+            code = flc.infer(spec, (x0, x1)).value
+            real = infer_real(rspec, [x0 / 16, x1 / 16])
+            want.append(f"{x0},{x1},{code},{real:.9f},{abs(code / 2**32 - real):.3e}")
+    assert lines == want
+
+
+@pytest.fixture()
+def zero_den_spec():
+    # valid, but 1 alpha bit floors both degrees to zero mid-edge (fixed
+    # denominator 0) while the real degrees stay positive there; codes 0
+    # and 63 sit on plateaus
+    return flc.FlcSpec(
+        in_bits=6, out_bits=8, alpha_bits=1, cons_bits=8,
+        partitions=((flc.MembershipFunction(0, 0, 0, 63),
+                     flc.MembershipFunction(0, 63, 63, 63)),) * 2,
+        singletons=(10, 200, 30, 90))
+
+
+def test_sweep_zero_denominator_leaves_manifest_only(zero_den_spec, tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    flc.dump_spec(zero_den_spec, path)
+    out = tmp_path / "o"
+    rc = main(["flc", "sweep", "--spec", str(path), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: all rule weights are zero for this input vector\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_zero_real_denominator_implies_zero_fixed_one():
+    # why the fixed check decides the sweep's error message: wherever the
+    # real denominator is zero, the fixed one is zero too
+    rnd = random.Random(50)
+    real_zero = 0
+    for _ in range(60):
+        spec = random_knot_spec(rnd, rnd.randint(1, 2), rnd.randint(2, 5),
+                                rnd.randint(1, 12), rnd.choice((flc.MIN, flc.PROD)))
+        if not flc.validate_spec(spec).ok:
+            continue
+        rspec, scale = lift(spec), 1 << spec.in_bits
+        for xs in itertools.product(range(scale), repeat=spec.n):
+            try:
+                infer_real(rspec, [x / scale for x in xs])
+            except flc.DenominatorZero:
+                real_zero += 1
+                with pytest.raises(flc.DenominatorZero):
+                    flc.infer(spec, xs)
+    assert real_zero > 0
 
 
 # ---- ga ----

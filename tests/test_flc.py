@@ -2,9 +2,12 @@ import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_inputs, random_valid_spec
+from conftest import random_inputs, random_knot_spec, random_valid_spec
 from fuzzychip.flc import (
     MIN,
     ODD_EVEN,
@@ -17,13 +20,16 @@ from fuzzychip.flc import (
     active_pair,
     active_rules,
     antecedent_weight,
+    batch_dtype,
     default_core_spec,
     dump_spec,
     estimate_timing,
     infer,
+    infer_batch,
     infer_full_rulebase,
     load_spec,
     membership,
+    pair_tables,
     rule_address,
     spec_from_dict,
     spec_to_dict,
@@ -31,6 +37,7 @@ from fuzzychip.flc import (
     validate_spec,
     with_mode,
 )
+from fuzzychip.flcref import infer_real, infer_real_batch, lift, pair_tables_real
 
 MF = MembershipFunction
 
@@ -356,6 +363,69 @@ def test_active_rules_enumerates_two_to_the_n():
         addrs = [a for a, _, _ in rules.firings]
         assert len(set(addrs)) == len(addrs)
         assert all(0 <= a < spec.m**spec.n for a in addrs)
+
+
+# ---- batched inference ----
+
+
+def _scalar_or_zero(fn, rows):
+    """[fn(xs) for xs in rows], or None if any row has a zero denominator."""
+    try:
+        return [fn(xs) for xs in rows]
+    except DenominatorZero:
+        return None
+
+
+def _batch_or_zero(fn):
+    try:
+        return fn().tolist()
+    except DenominatorZero:
+        return None
+
+
+@settings(max_examples=200)
+@given(
+    rnd=st.randoms(use_true_random=False),
+    n=st.integers(1, 3),
+    and_method=st.sampled_from((MIN, PROD)),
+    alpha_bits=st.integers(1, 12),
+)
+def test_batched_inference_equals_scalar(rnd, n, and_method, alpha_bits):
+    # knot partitions reach degenerate edges and, at small alpha_bits, edges
+    # that floor to zero; a batch raises iff some of its rows does
+    spec = random_knot_spec(rnd, n, rnd.randint(2, 7), alpha_bits, and_method)
+    assume(validate_spec(spec).ok)
+    codes = [np.array([rnd.randrange(1 << spec.in_bits) for _ in range(48)])
+             for _ in range(n)]
+    rows = list(zip(*(c.tolist() for c in codes)))
+
+    tables = pair_tables(spec)
+    fixed = _batch_or_zero(
+        lambda: infer_batch(spec, [t.at(c) for t, c in zip(tables, codes)]))
+    assert fixed == _scalar_or_zero(lambda xs: infer(spec, xs).value, rows)
+
+    rspec, scale = lift(spec), 1 << spec.in_bits
+    rtables = pair_tables_real(spec, rspec)
+    real = _batch_or_zero(
+        lambda: infer_real_batch(rspec, [t.at(c) for t, c in zip(rtables, codes)]))
+    # exact float equality: same terms, same order
+    assert real == _scalar_or_zero(
+        lambda xs: infer_real(rspec, [x / scale for x in xs]), rows)
+
+
+def test_batch_dtype_widens_past_62_bits():
+    base = default_core_spec()
+    assert batch_dtype(base) is np.int64
+    assert batch_dtype(replace(base, alpha_bits=31, cons_bits=27)) is np.int64  # 62
+    assert batch_dtype(replace(base, alpha_bits=31, cons_bits=28)) is object
+    assert batch_dtype(replace(base, alpha_bits=32, cons_bits=1)) is object  # fold
+
+
+def test_pair_tables_hold_active_pair_of_every_code():
+    spec = random_valid_spec(random.Random(8), n=2, in_bits=6)
+    for part, table in zip(spec.partitions, pair_tables(spec)):
+        for x in range(1 << spec.in_bits):
+            assert table.at(x) == active_pair(part, x, spec.alpha_bits)
 
 
 # ---- timing ----

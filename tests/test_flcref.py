@@ -1,9 +1,16 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from conftest import random_inputs, random_valid_spec
+from conftest import (
+    acceptance_corpus,
+    knot_partition,
+    random_inputs,
+    random_partition,
+    random_valid_spec,
+)
 from fuzzychip.flc import (
     MIN,
     PROD,
@@ -12,9 +19,12 @@ from fuzzychip.flc import (
     MembershipFunction,
     infer,
     membership,
+    rule_address,
+    validate_spec,
 )
 from fuzzychip.flcref import (
     RealFlcSpec,
+    active_pair_real,
     infer_real,
     lift,
     membership_real,
@@ -22,6 +32,21 @@ from fuzzychip.flcref import (
 )
 
 MF = MembershipFunction
+
+
+def infer_real_full_rulebase(rspec: RealFlcSpec, xs) -> float:
+    """Oracle: the weighted average over all m^n rules in float arithmetic."""
+    mu = [[membership_real(mf, x) for mf in part] for part, x in zip(rspec.partitions, xs)]
+    num = den = 0.0
+    for idxs in itertools.product(range(rspec.m), repeat=rspec.n):
+        degs = [mu[k][idx] for k, idx in enumerate(idxs)]
+        w = min(degs) if rspec.and_method == MIN else math.prod(degs)
+        if w > 0.0:
+            num += w * rspec.singletons[rule_address(idxs, rspec.m)]
+            den += w
+    if den == 0.0:
+        raise DenominatorZero("all real rule weights are zero for this input vector")
+    return num / den
 
 
 # ---- lifting ----
@@ -162,6 +187,50 @@ def test_infer_real_denominator_zero():
     )
     with pytest.raises(DenominatorZero):
         infer_real(gapped, [0.5])
+
+
+# ---- active real pairs ----
+
+
+def test_active_pair_real_holds_every_nonzero_degree():
+    # every code of random valid partitions, including degenerate edges
+    # (a == b, c == d) and edges that floor to zero in the fixed model
+    rnd = random.Random(41)
+    checked = 0
+    while checked < 600:
+        in_bits, m = rnd.randint(2, 8), rnd.randint(2, 6)
+        make = rnd.choice((knot_partition, random_partition))
+        if make is random_partition and (1 << in_bits) - 1 < m:
+            continue
+        part = make(rnd, in_bits, m)
+        spec = FlcSpec(in_bits, in_bits, 1, 1, (part,), (0,) * m)
+        if not validate_spec(spec).ok:
+            continue
+        rpart = lift(spec).partitions[0]
+        for x in range(1 << in_bits):
+            pair = active_pair_real(rpart, x / (1 << in_bits))
+            degs = [membership_real(mf, x / (1 << in_bits)) for mf in rpart]
+            assert (pair.deg_left, pair.deg_right) == (degs[pair.left], degs[pair.left + 1])
+            outside = degs[: pair.left] + degs[pair.left + 2:]
+            assert not any(outside), (part, x)
+        checked += 1
+
+
+def test_active_pair_real_all_zero_and_clamp():
+    gapped = ((0.0, 0.0, 0.0, 0.2), (0.8, 1.0, 1.0, 1.0))
+    pair = active_pair_real(gapped, 0.5)
+    assert (pair.left, pair.deg_left, pair.deg_right) == (0, 0.0, 0.0)
+    three = ((0.0, 0.0, 0.0, 0.5), (0.0, 0.5, 0.5, 1.0), (0.5, 1.0, 1.0, 1.0))
+    pair = active_pair_real(three, 1.0)  # only MF 2 is nonzero
+    assert (pair.left, pair.deg_left, pair.deg_right) == (1, 0.0, 1.0)
+
+
+def test_infer_real_equals_full_rulebase_on_acceptance_corpus():
+    pairs, big_pairs = acceptance_corpus()
+    for spec, xs in pairs + big_pairs:
+        rspec = lift(spec)
+        reals = [x / (1 << spec.in_bits) for x in xs]
+        assert infer_real(rspec, reals) == infer_real_full_rulebase(rspec, reals)
 
 
 # ---- quantization bound ----
