@@ -1,7 +1,7 @@
 """Bit-exact software models of a fixed-point fuzzy inference core, a
 hardware-style genetic algorithm engine, and a fuzzy path-tracking simulator."""
 
-from .fixedq import DomainMap, FixedWord, dequantize, quantize, rescale
+from .fixedq import DomainMap, FixedWord, quantize
 from .flc import (
     FlcSpec,
     MembershipFunction,
@@ -30,9 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainMap",
     "FixedWord",
-    "dequantize",
     "quantize",
-    "rescale",
     "FlcSpec",
     "MembershipFunction",
     "TimingReport",

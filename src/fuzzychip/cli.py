@@ -197,6 +197,19 @@ def cmd_flc_timing(args) -> int:
 # grid points per batched block of sweep.csv rows; memory grows with the
 # block, not with the grid
 SWEEP_BLOCK = 1 << 12
+# largest grid flc sweep accepts, in rows; time and pair tables grow with it
+SWEEP_MAX_ROWS = 1 << 20
+
+
+def _sweep_rows(spec: flc.FlcSpec) -> int:
+    """Row count of spec's sweep grid; exit 1 if the grid cannot be swept."""
+    if spec.n > 2:
+        raise CliError(EXIT_INVALID, f"sweep supports 1 or 2 inputs, spec has {spec.n}")
+    rows = (1 << spec.in_bits) ** spec.n
+    if rows > SWEEP_MAX_ROWS:
+        raise CliError(EXIT_INVALID,
+                       f"sweep grid has {rows} rows, more than the {SWEEP_MAX_ROWS} allowed")
+    return rows
 
 
 def _sweep_chunks(spec: flc.FlcSpec):
@@ -235,15 +248,14 @@ def _sweep_chunks(spec: flc.FlcSpec):
 def cmd_flc_sweep(args) -> int:
     spec = _load(args.spec, flc.load_spec)
     _require_valid(spec)
-    if spec.n > 2:
-        raise CliError(EXIT_INVALID, f"sweep supports 1 or 2 inputs, spec has {spec.n}")
+    rows = _sweep_rows(spec)
     out_dir = _prepare_out_dir(args)
     _write_manifest(out_dir, "flc sweep", args.argv, args.spec, None, ["sweep.csv"])
     try:
         _write_chunks(os.path.join(out_dir, "sweep.csv"), _sweep_chunks(spec))
     except flc.DenominatorZero as exc:
         raise CliError(EXIT_INVALID, str(exc)) from exc
-    print(f"sweep.csv: {(1 << spec.in_bits) ** spec.n} rows")
+    print(f"sweep.csv: {rows} rows")
     return EXIT_OK
 
 

@@ -63,17 +63,3 @@ def quantize(x: float, dmap: DomainMap) -> FixedWord:
     t = (x - dmap.lo) / (dmap.hi - dmap.lo) * dmap.top
     code = round_half_away(t)
     return FixedWord(min(max(code, 0), dmap.top), dmap.bits)
-
-
-def dequantize(w: FixedWord, dmap: DomainMap) -> float:
-    """Code back to its real value; exact at both endpoints."""
-    if w.bits != dmap.bits:
-        raise ValueError(f"word is {w.bits}-bit but map expects {dmap.bits}-bit")
-    return dmap.lo + (w.value / dmap.top) * (dmap.hi - dmap.lo)
-
-
-def rescale(w: FixedWord, to_bits: int) -> FixedWord:
-    """Widen a word by a left shift (exact). Shrinking would lose bits: error."""
-    if to_bits < w.bits:
-        raise ValueError(f"cannot shrink a {w.bits}-bit word to {to_bits} bits")
-    return FixedWord(w.value << (to_bits - w.bits), to_bits)

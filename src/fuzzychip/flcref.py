@@ -144,12 +144,44 @@ def infer_real_batch(rspec: RealFlcSpec, pairs: Sequence[ActivePair]) -> np.ndar
 
 
 def _envelope_floor(partition, in_bits: int, alpha_bits: int) -> int:
-    """Smallest over the universe of the largest fixed-point degree at a code."""
+    """Smallest over the universe of the largest fixed-point degree at a code.
+
+    Cut at every a, b, c + 1 and d + 1, the universe falls into segments on
+    which each MF keeps one branch of `membership`, so each degree is monotone
+    there. On a segment the envelope is max(U, D), the largest nondecreasing
+    and the largest nonincreasing degree. U - D never decreases, so the
+    minimum sits at the first code with U >= D, found by bisection, or at the
+    code before it. Degrees come from `membership` and no breakpoint order is
+    assumed, so the floor equals a scan of every code on any partition.
+    """
+    if not partition:
+        raise ValueError("a partition needs at least one membership function")
     worst = (1 << alpha_bits) - 1
-    for x in range(1 << in_bits):
-        worst = min(worst, max(membership(mf, x, alpha_bits) for mf in partition))
-        if worst == 0:
-            break
+    size = 1 << in_bits
+    edges = {p for mf in partition for p in (mf.a, mf.b, mf.c + 1, mf.d + 1)}
+    cuts = sorted({0, size} | {p for p in edges if 0 < p < size})
+
+    degree = functools.partial(membership, alpha_bits=alpha_bits)
+
+    def envelope(mfs, x: int) -> int:
+        return max((degree(mf, x) for mf in mfs), default=0)
+
+    for lo, end in zip(cuts, cuts[1:]):
+        hi = end - 1
+        live = [mf for mf in partition if mf.a <= lo and hi <= mf.d]  # others are 0
+        up = [mf for mf in live if degree(mf, lo) < degree(mf, hi)]
+        down = [mf for mf in live if mf not in up]
+        first, last = lo, end  # first code of the segment with U >= D, or end
+        while first < last:
+            mid = (first + last) // 2
+            if envelope(up, mid) >= envelope(down, mid):
+                last = mid
+            else:
+                first = mid + 1
+        if first > lo:
+            worst = min(worst, envelope(down, first - 1))
+        if first < end:
+            worst = min(worst, envelope(up, first))
     return worst
 
 
@@ -163,8 +195,10 @@ def quantization_bound(spec: FlcSpec) -> float:
       * final truncating division: one consequent-LSB.
     The weight perturbation moves the 2^n-rule weighted average by at most
     (sum of perturbations) / (fixed denominator), so the denominator is
-    floored by scanning each input's degree envelope. Returns the vacuous
-    bound 1.0 if that floor is zero (outputs live in [0, 1] regardless).
+    floored by the minimum of each input's degree envelope, found by a
+    bisection of about in_bits steps on each of at most 4m + 1 monotone
+    segments (`_envelope_floor`). Returns the vacuous bound 1.0 if that floor
+    is zero (outputs live in [0, 1] regardless).
     """
     a = spec.alpha_bits
     deg_lsb = 1.0 / (1 << a)

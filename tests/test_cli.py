@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from conftest import random_knot_spec
-from fuzzychip import __version__, flc, ga, problems
-from fuzzychip.cli import main
+from fuzzychip import __version__, flc, flcref, ga, problems
+from fuzzychip.cli import SWEEP_MAX_ROWS, CliError, _sweep_rows, main
 from fuzzychip.flcref import infer_real, lift, quantization_bound
 from fuzzychip.tracksim import TRACE_HEADER, save_waypoints, straight_waypoints
 
@@ -222,6 +222,34 @@ def test_eval_rejects_invalid_spec(gapped_spec_file):
     assert main(["flc", "eval", "--spec", gapped_spec_file, "--input", "10"]) == 1
 
 
+def test_eval_32_bit_widths_finish(tmp_path, monkeypatch, capsys):
+    # a 2^32-code scan of each input's degree envelope would run for hours;
+    # a budget on the bound's membership calls fails it deterministically
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls > 100_000:
+            raise RuntimeError("more than 100,000 membership calls in flcref")
+        return flc.membership(*args, **kwargs)
+
+    monkeypatch.setattr(flcref, "membership", counted)
+    rnd = random.Random(64)
+    spec = flc.FlcSpec(
+        in_bits=32, out_bits=32, alpha_bits=32, cons_bits=32,
+        partitions=(flc.uniform_partition(32, 7),) * 2,
+        singletons=tuple(rnd.randrange(1 << 32) for _ in range(49)))
+    assert flc.validate_spec(spec).ok
+    path = tmp_path / "wide.json"
+    flc.dump_spec(spec, path)
+    rc = main(["flc", "eval", "--spec", str(path), "--input", "123456789,4000000000"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"bound={quantization_bound(spec):.3e}"
+    assert quantization_bound(spec) < 1.0
+
+
 def test_timing_frozen_output(core_spec_file, capsys):
     assert main(["flc", "timing", "--spec", core_spec_file]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -259,6 +287,40 @@ def test_sweep_writes_grid_and_manifest(small_spec_file, tmp_path, capsys):
 def test_sweep_rejects_many_inputs(core_spec_file, tmp_path):
     rc = main(["flc", "sweep", "--spec", core_spec_file, "--out", str(tmp_path / "o")])
     assert rc == 1  # four inputs cannot be swept
+
+
+def _two_mf_spec(n: int, in_bits: int) -> flc.FlcSpec:
+    return flc.FlcSpec(
+        in_bits=in_bits, out_bits=8, alpha_bits=8, cons_bits=8,
+        partitions=(flc.uniform_partition(in_bits, 2),) * n,
+        singletons=tuple(range(2**n)))
+
+
+def test_sweep_rejects_grid_over_limit(tmp_path, capsys):
+    spec = _two_mf_spec(2, 11)
+    assert flc.validate_spec(spec).ok
+    path = tmp_path / "big.json"
+    flc.dump_spec(spec, path)
+    out = tmp_path / "o"
+    assert main(["flc", "sweep", "--spec", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sweep grid has 4194304 rows, more than the 1048576 allowed\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, in_bits", [(1, 20), (1, 21), (2, 10), (2, 11)])
+def test_sweep_row_limit_boundary(n, in_bits):
+    spec = _two_mf_spec(n, in_bits)
+    rows = (1 << in_bits) ** n
+    assert SWEEP_MAX_ROWS == 1 << 20
+    if rows <= SWEEP_MAX_ROWS:
+        assert _sweep_rows(spec) == rows
+    else:
+        with pytest.raises(CliError) as exc:
+            _sweep_rows(spec)
+        assert exc.value.code == 1
 
 
 def _frozen_sweep_specs() -> dict[str, flc.FlcSpec]:

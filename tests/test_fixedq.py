@@ -7,9 +7,7 @@ from fuzzychip.fixedq import (
     MAX_BITS,
     DomainMap,
     FixedWord,
-    dequantize,
     quantize,
-    rescale,
     round_half_away,
 )
 
@@ -79,15 +77,9 @@ def test_quantize_monotone():
         assert quantize(x, dm).value <= quantize(y, dm).value
 
 
-def test_dequantize_endpoints_exact():
-    dm = DomainMap(-2.5, 7.5, 9)
-    assert dequantize(FixedWord(0, 9), dm) == -2.5
-    assert dequantize(FixedWord(dm.top, 9), dm) == 7.5
-
-
-def test_dequantize_width_mismatch():
-    with pytest.raises(ValueError):
-        dequantize(FixedWord(1, 8), DomainMap(0.0, 1.0, 12))
+def _code_value(w: FixedWord, dm: DomainMap) -> float:
+    """Real value of a code on dm's affine map: code 0 is lo, the top code hi."""
+    return dm.lo + (w.value / dm.top) * (dm.hi - dm.lo)
 
 
 def test_roundtrip_within_half_lsb():
@@ -97,39 +89,14 @@ def test_roundtrip_within_half_lsb():
         hi = lo + rnd.uniform(0.5, 20.0)
         dm = DomainMap(lo, hi, rnd.randint(4, 16))
         x = rnd.uniform(lo, hi)
-        back = dequantize(quantize(x, dm), dm)
+        back = _code_value(quantize(x, dm), dm)
         assert abs(back - x) <= dm.lsb / 2 + 1e-12
 
 
 def test_roundtrip_clamped_outside():
     dm = DomainMap(0.0, 1.0, 8)
-    assert dequantize(quantize(5.0, dm), dm) == 1.0
-    assert dequantize(quantize(-5.0, dm), dm) == 0.0
-
-
-def test_rescale_is_left_shift():
-    assert rescale(FixedWord(175, 8), 12).value == 2800
-    assert rescale(FixedWord(175, 8), 12).bits == 12
-
-
-def test_rescale_preserves_shift_ratio():
-    rnd = random.Random(5)
-    for _ in range(200):
-        bits = rnd.randint(1, 16)
-        to_bits = rnd.randint(bits, 24)
-        value = rnd.randint(0, (1 << bits) - 1)
-        wide = rescale(FixedWord(value, bits), to_bits)
-        assert wide.value == value * (1 << (to_bits - bits))
-
-
-def test_rescale_same_width_is_identity():
-    w = FixedWord(99, 8)
-    assert rescale(w, 8) == w
-
-
-def test_rescale_refuses_to_shrink():
-    with pytest.raises(ValueError):
-        rescale(FixedWord(3, 8), 4)
+    assert _code_value(quantize(5.0, dm), dm) == 1.0
+    assert _code_value(quantize(-5.0, dm), dm) == 0.0
 
 
 def test_fixedword_is_hashable_value_object():

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     acceptance_corpus,
@@ -24,6 +27,7 @@ from fuzzychip.flc import (
 )
 from fuzzychip.flcref import (
     RealFlcSpec,
+    _envelope_floor,
     active_pair_real,
     infer_real,
     lift,
@@ -47,6 +51,16 @@ def infer_real_full_rulebase(rspec: RealFlcSpec, xs) -> float:
     if den == 0.0:
         raise DenominatorZero("all real rule weights are zero for this input vector")
     return num / den
+
+
+def envelope_floor_scan(partition, in_bits: int, alpha_bits: int) -> int:
+    """Oracle: the smallest envelope degree by a scan of every input code."""
+    worst = (1 << alpha_bits) - 1
+    for x in range(1 << in_bits):
+        worst = min(worst, max(membership(mf, x, alpha_bits) for mf in partition))
+        if worst == 0:
+            break
+    return worst
 
 
 # ---- lifting ----
@@ -355,3 +369,65 @@ def test_bound_on_two_mf_identity_core():
         real = infer_real(rspec, [x / 256.0])
         worst = max(worst, abs(fixed - real))
     assert worst <= bound + 1e-12
+
+
+# ---- envelope floor against the scan ----
+
+
+@st.composite
+def floor_cases(draw):
+    """(partition, in_bits, alpha_bits) with no validity guarantee. A knot
+    partition (overlapping neighbour edges, a == b and c == d where knots
+    repeat, single-point MFs) has some MFs replaced by arbitrary ones: gaps,
+    unsorted peaks, overlapping non-neighbours, now and then breakpoints out
+    of order."""
+    in_bits = draw(st.integers(1, 10))
+    top = (1 << in_bits) - 1
+    code = st.integers(0, top)
+    m = draw(st.integers(1, 6))
+    inner = draw(st.lists(code, min_size=2 * m - 2, max_size=2 * m - 2))
+    knots = [0] + sorted(inner) + [top]
+    b, c = knots[0::2], knots[1::2]
+    d = [draw(st.integers(c[i], b[i + 1])) for i in range(m - 1)] + [top]
+    a = [0] + [draw(st.integers(c[i - 1], d[i - 1])) for i in range(1, m)]
+    mfs = [MF(*mf) for mf in zip(a, b, c, d)]
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        points = sorted(draw(st.lists(code, min_size=4, max_size=4)))
+        if draw(st.booleans()):
+            points = draw(st.permutations(points))
+        mfs[i] = MF(*points)
+    return tuple(mfs), in_bits, draw(st.integers(1, 16))
+
+
+@settings(max_examples=300)
+@given(floor_cases())
+def test_envelope_floor_equals_scan(case):
+    assert _envelope_floor(*case) == envelope_floor_scan(*case)
+
+
+def test_envelope_floor_of_empty_partition_raises_like_scan():
+    for floor in (_envelope_floor, envelope_floor_scan):
+        with pytest.raises(ValueError):
+            floor((), 4, 4)
+
+
+def test_envelope_floor_equals_scan_on_acceptance_corpus():
+    pairs, big_pairs = acceptance_corpus()
+    cases = {(part, spec.in_bits, spec.alpha_bits)
+             for spec, _ in pairs + big_pairs for part in spec.partitions}
+    assert len(cases) == 687
+    for case in cases:
+        assert _envelope_floor(*case) == envelope_floor_scan(*case)
+
+
+# sha256 of repr(quantization_bound(spec)), one line per distinct corpus spec
+# in corpus order, from the 2^in_bits scan the bisection replaced
+CORPUS_BOUND_SHA256 = "7388d2ae098bb0122cc230a57e302379c9affe4ea3918ff8cd57e24f763bbffc"
+
+
+def test_corpus_bounds_frozen():
+    pairs, big_pairs = acceptance_corpus()
+    specs = dict.fromkeys(spec for spec, _ in pairs + big_pairs)
+    text = "".join(f"{quantization_bound(spec)!r}\n" for spec in specs)
+    assert len(specs) == 351
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_BOUND_SHA256
