@@ -169,9 +169,7 @@ def cmd_flc_eval(args) -> int:
         raise CliError(EXIT_IO, "flc eval requires --input x0[,x1,...]")
     try:
         out = flc.infer(spec, args.input)
-    except flc.DenominatorZero as exc:
-        raise CliError(EXIT_INVALID, str(exc)) from exc
-    except ValueError as exc:
+    except (flc.DenominatorZero, ValueError) as exc:
         raise CliError(EXIT_INVALID, str(exc)) from exc
     fixed_value = out.value / (1 << spec.out_bits)
     real = infer_real(lift(spec), [x / (1 << spec.in_bits) for x in args.input])

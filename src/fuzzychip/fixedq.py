@@ -52,11 +52,6 @@ class DomainMap:
     def top(self) -> int:
         return (1 << self.bits) - 1
 
-    @property
-    def lsb(self) -> float:
-        """Real-value step between adjacent codes."""
-        return (self.hi - self.lo) / self.top
-
 
 def quantize(x: float, dmap: DomainMap) -> FixedWord:
     """Nearest code for x; values outside [lo, hi] clamp to the end codes."""

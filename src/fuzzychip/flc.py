@@ -7,13 +7,14 @@ with truncating division, and a cycle/latency model for the standard
 (one active rule per clock) and odd-even (two active rules per clock)
 processing schedules.
 
-Batched inference (`pair_tables`, `infer_batch`) lowers a spec to one
-`PairTable` per input -- `left`, `deg_left` and `deg_right` for every code of
-the input universe, each filled by one scalar `active_pair` call -- and then
-fires the 2^n active rules of a whole block of points with numpy, in the
-`itertools.product((0, 1), repeat=n)` offset order of `active_rules`. The
-membership arithmetic is never re-implemented, so the batched codes equal
-`infer` point for point.
+The scalar path (`infer`, the tracker) runs on `compile(spec)`, which
+memoises each input's `active_pair` per code on first use and sums a plan of
+the 2^n active rules. Batched inference (`pair_tables`, `infer_batch`) lowers
+a spec to one `PairTable` per input -- `left`, `deg_left` and `deg_right` for
+every code, each filled by one scalar `active_pair` call -- and then fires
+the 2^n active rules of a block of points with numpy, in the offset order of
+`active_rules`. The membership arithmetic is never re-implemented, so every
+path equals `infer_full_rulebase` point for point.
 
 Width conventions:
     input codes       in_bits     unsigned
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -324,19 +326,55 @@ def active_rules(spec: FlcSpec, inputs: Sequence[int]) -> ActiveRuleSet:
     return ActiveRuleSet(pairs, tuple(firings))
 
 
-def _defuzzify(spec: FlcSpec, num: int, den: int) -> FixedWord:
+def _defuzzify(spec: FlcSpec, num: int, den: int) -> int:
     if den == 0:
         raise DenominatorZero(ZERO_DENOMINATOR)
-    q = num // den  # consequent-universe code, cons_bits wide
-    return FixedWord(q << (spec.out_bits - spec.cons_bits), spec.out_bits)
+    return (num // den) << (spec.out_bits - spec.cons_bits)
+
+
+class Controller:
+    """A spec lowered once; `ctl(inputs)` is `infer(spec, inputs).value`.
+
+    Input k's memo maps each code seen to (left * m^k, (deg_left, deg_right)),
+    filled from `active_pair`; a call sums a plan of 2^n (offsets, address offset).
+    """
+
+    def __init__(self, spec: FlcSpec):
+        self.spec = spec
+        self._digits = [spec.m**k for k in range(spec.n)]
+        self._memos = [{} for _ in range(spec.n)]
+        self._plan = [(offsets, sum(map(operator.mul, offsets, self._digits)))
+                      for offsets in itertools.product((0, 1), repeat=spec.n)]
+        self._weigh = min if spec.and_method == MIN else (
+            lambda degs: antecedent_weight(list(degs), spec.and_method, spec.alpha_bits))
+
+    def __call__(self, inputs: Sequence[int]) -> int:
+        spec = self.spec
+        if len(inputs) != spec.n:
+            _check_inputs(spec, inputs)  # raises the wrong-count error
+        base, degs = 0, []
+        for k, (memo, x) in enumerate(zip(self._memos, inputs)):
+            entry = memo.get(x)
+            if entry is None:  # only in-range codes are ever stored
+                _check_inputs(spec, inputs)
+                p = active_pair(spec.partitions[k], x, spec.alpha_bits)
+                entry = memo[x] = (p.left * self._digits[k], (p.deg_left, p.deg_right))
+            base += entry[0]
+            degs.append(entry[1])
+        num = den = 0
+        for offsets, addr in self._plan:
+            w = self._weigh(map(operator.getitem, degs, offsets))
+            num += w * spec.singletons[base + addr]
+            den += w
+        return _defuzzify(spec, num, den)
+
+
+compile = Controller  # flc.compile(spec): lower a spec once for repeated inference
 
 
 def infer(spec: FlcSpec, inputs: Sequence[int]) -> FixedWord:
     """One inference over the active rules only (hardware datapath model)."""
-    rules = active_rules(spec, inputs)
-    num = sum(w * y for _, w, y in rules.firings)
-    den = sum(w for _, w, _ in rules.firings)
-    return _defuzzify(spec, num, den)
+    return FixedWord(compile(spec)(inputs), spec.out_bits)
 
 
 def infer_full_rulebase(spec: FlcSpec, inputs: Sequence[int]) -> FixedWord:
@@ -358,7 +396,7 @@ def infer_full_rulebase(spec: FlcSpec, inputs: Sequence[int]) -> FixedWord:
             y = spec.singletons[rule_address(idxs, m)]
             num += w * y
             den += w
-    return _defuzzify(spec, num, den)
+    return FixedWord(_defuzzify(spec, num, den), spec.out_bits)
 
 
 # ---- batched inference over per-input pair tables ----

@@ -14,13 +14,15 @@ Units: millimeters, seconds, radians; curvature in 1/mm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import flc
 from .fixedq import DomainMap, quantize
-from .flc import MIN, STANDARD, FlcSpec, infer, uniform_partition
+from .flc import MIN, STANDARD, FlcSpec, uniform_partition
 
 TRACE_HEADER = "t,x,y,theta,x_est,y_est,theta_est,e_d,e_theta,kappa"
 
@@ -75,6 +77,11 @@ class PathSamples:
     def __len__(self) -> int:
         return len(self.points)
 
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Contiguous copies of the x and y columns of `points`."""
+        return tuple(np.ascontiguousarray(col) for col in self.points.T)
+
 
 def interpolate_path(waypoints, spacing: float) -> PathSamples:
     """Resample a waypoint polyline at fixed arc-length steps.
@@ -109,7 +116,8 @@ def interpolate_path(waypoints, spacing: float) -> PathSamples:
 
 def closest_point(path: PathSamples, pose: Pose) -> int:
     """Index of the nearest sample; ties resolve to the lower index."""
-    d2 = (path.points[:, 0] - pose.x) ** 2 + (path.points[:, 1] - pose.y) ** 2
+    xs, ys = path.columns
+    d2 = (xs - pose.x) ** 2 + (ys - pose.y) ** 2
     return int(np.argmin(d2))
 
 
@@ -207,12 +215,13 @@ def spatial_window_command(
     start: int,
     pose: Pose,
     params: TrackerParams,
-    spec: FlcSpec,
+    ctl: flc.Controller,
     maps: tuple[DomainMap, DomainMap],
 ) -> tuple[float, tuple[float, float]]:
     """Mean of the per-sample controller outputs over `window` consecutive
     samples from `start`, the sample closest to the pose (truncated at the
-    path end), clamped to the curvature limit. `maps` is error_maps(params).
+    path end), clamped to the curvature limit. `ctl` is the compiled
+    build_tracker_spec(params) and `maps` is error_maps(params).
 
     Returns (kappa, tracking_errors at `start`); the errors feed the trace."""
     d_map, t_map = maps
@@ -220,8 +229,8 @@ def spatial_window_command(
     errors = [tracking_errors(path, idx, pose) for idx in range(start, stop)]
     total = 0.0
     for e_d, e_t in errors:
-        out = infer(spec, (quantize(e_d, d_map).value, quantize(e_t, t_map).value))
-        total += code_to_curvature(out.value, params.kappa_max)
+        code = ctl((quantize(e_d, d_map).value, quantize(e_t, t_map).value))
+        total += code_to_curvature(code, params.kappa_max)
     kappa = min(max(total / len(errors), -params.kappa_max), params.kappa_max)
     return kappa, errors[0]
 
@@ -288,7 +297,7 @@ def simulate(
     per-step heading error (rad). Both perturb only the estimate. The start
     pose defaults to the first sample, aligned with the initial tangent."""
     path = interpolate_path(waypoints, spacing)
-    spec = build_tracker_spec(params)
+    ctl = flc.compile(build_tracker_spec(params))
     maps = error_maps(params)
     rng = np.random.default_rng(seed)
     sigma_d, sigma_theta = noise
@@ -304,7 +313,7 @@ def simulate(
         idx = closest_point(path, est)
         if idx == last:
             break
-        kappa, (e_d, e_t) = spatial_window_command(path, idx, est, params, spec, maps)
+        kappa, (e_d, e_t) = spatial_window_command(path, idx, est, params, ctl, maps)
         rows.append(TraceRow(k * params.dt, true, est, e_d, e_t, kappa))
         true = step_kinematics(true, params.v, kappa, params.dt)
         est = step_kinematics(est, params.v, kappa, params.dt)

@@ -97,10 +97,11 @@ def knot_partition(rnd: random.Random, in_bits: int, m: int):
 
 
 def random_knot_spec(rnd: random.Random, n: int, in_bits: int, alpha_bits: int,
-                     and_method: str) -> FlcSpec:
-    """A knot_partition spec; may fail validate_spec (shared plateau points)."""
+                     and_method: str, cons_bits: int | None = None) -> FlcSpec:
+    """A knot_partition spec; may fail validate_spec (shared plateau points).
+    cons_bits defaults to a random width in 1..12."""
     m = rnd.randint(2, 5)
-    cons_bits = rnd.randint(1, 12)
+    cons_bits = cons_bits if cons_bits is not None else rnd.randint(1, 12)
     return FlcSpec(
         in_bits=in_bits,
         out_bits=cons_bits + rnd.randint(0, 4),

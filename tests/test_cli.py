@@ -11,7 +11,12 @@ from conftest import random_knot_spec
 from fuzzychip import __version__, flc, flcref, ga, problems
 from fuzzychip.cli import SWEEP_MAX_ROWS, CliError, _sweep_rows, main
 from fuzzychip.flcref import infer_real, lift, quantization_bound
-from fuzzychip.tracksim import TRACE_HEADER, save_waypoints, straight_waypoints
+from fuzzychip.tracksim import (
+    TRACE_HEADER,
+    s_curve_waypoints,
+    save_waypoints,
+    straight_waypoints,
+)
 
 # ---- fixtures ----
 
@@ -619,6 +624,21 @@ def test_track_multiple_seeds_with_noise(waypoint_file, tmp_path):
     assert a != b
     summaries = json.loads((out / "summary.json").read_text())
     assert [s["seed"] for s in summaries] == [1, 2]
+
+
+def test_track_bytes_frozen(tmp_path, capsys):
+    # sha256 over both traces, summary.json and stdout; frozen, never updated
+    path = tmp_path / "s_course.txt"
+    save_waypoints(s_curve_waypoints(), path)
+    out = tmp_path / "o"
+    rc = main(["track", "--path", str(path), "--seeds", "1,2", "--noise", "0.1,0.001",
+               "--start", "0,300,0.1", "--out", str(out)])
+    assert rc == 0
+    h = hashlib.sha256()
+    for name in ("trace_000.csv", "trace_001.csv", "summary.json"):
+        h.update((out / name).read_bytes())
+    h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == "2c1a74f21cdcb6c28d4b6348c2c3763c16862af36a58279013527c1d54d52b50"
 
 
 def test_track_bad_waypoints(tmp_path, capsys):

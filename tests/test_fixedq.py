@@ -42,7 +42,8 @@ def test_fixedword_rejects(value, bits):
 def test_domainmap_top_and_lsb():
     dm = DomainMap(-1.0, 1.0, 12)
     assert dm.top == 4095
-    assert dm.lsb == pytest.approx(2.0 / 4095)
+    # the real-value step between adjacent codes
+    assert (dm.hi - dm.lo) / dm.top == pytest.approx(2.0 / 4095)
 
 
 def test_domainmap_rejects_bad_interval():
@@ -90,7 +91,7 @@ def test_roundtrip_within_half_lsb():
         dm = DomainMap(lo, hi, rnd.randint(4, 16))
         x = rnd.uniform(lo, hi)
         back = _code_value(quantize(x, dm), dm)
-        assert abs(back - x) <= dm.lsb / 2 + 1e-12
+        assert abs(back - x) <= (dm.hi - dm.lo) / dm.top / 2 + 1e-12
 
 
 def test_roundtrip_clamped_outside():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_inputs, random_knot_spec, random_valid_spec
+from fuzzychip.flc import compile as compile_spec
 from fuzzychip.flc import (
     MIN,
     ODD_EVEN,
@@ -426,6 +427,63 @@ def test_pair_tables_hold_active_pair_of_every_code():
     for part, table in zip(spec.partitions, pair_tables(spec)):
         for x in range(1 << spec.in_bits):
             assert table.at(x) == active_pair(part, x, spec.alpha_bits)
+
+
+def test_pair_tables_hold_active_pair_of_every_code_on_knot_specs():
+    # degenerate edges, and at 2 alpha bits codes where every degree floors to 0
+    rnd = random.Random(81)
+    for alpha_bits, and_method in ((2, MIN), (2, PROD), (9, PROD)):
+        spec = random_knot_spec(rnd, 2, 7, alpha_bits, and_method)
+        for part, table in zip(spec.partitions, pair_tables(spec)):
+            for x in range(1 << spec.in_bits):
+                assert table.at(x) == active_pair(part, x, alpha_bits)
+
+
+def _raised(fn, *args):
+    """The exception fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except (ValueError, DenominatorZero) as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=200)
+@given(
+    rnd=st.randoms(use_true_random=False),
+    n=st.integers(1, 3),
+    and_method=st.sampled_from((MIN, PROD)),
+    alpha_bits=st.integers(1, 32),
+    cons_bits=st.integers(1, 32),
+)
+def test_compiled_controller_equals_full_rulebase(rnd, n, and_method, alpha_bits, cons_bits):
+    # knot partitions give degenerate edges and, at small alpha_bits, zero
+    # denominators; every row runs twice, so the second pass reads the memo
+    spec = random_knot_spec(rnd, n, rnd.randint(2, 7), alpha_bits, and_method, cons_bits)
+    assume(validate_spec(spec).ok)
+    ctl = compile_spec(spec)
+    top = (1 << spec.in_bits) - 1
+    rows = [tuple(rnd.choice((0, top, rnd.randint(0, top))) for _ in range(n))
+            for _ in range(24)]
+    for xs in rows:
+        try:
+            want = infer_full_rulebase(spec, xs).value
+        except DenominatorZero:
+            want = DenominatorZero
+        for _ in range(2):
+            if want is DenominatorZero:
+                with pytest.raises(DenominatorZero):
+                    ctl(xs)
+            else:
+                assert ctl(xs) == want
+    # a wrong length or an out-of-range code, with the memo warm
+    xs = list(rows[0])
+    bad_rows = [xs[:-1], xs + [0]]
+    for k in range(n):
+        bad_rows += [xs[:k] + [code] + xs[k + 1:] for code in (-1, top + 1)]
+    for bad in bad_rows:
+        want, got = _raised(infer_full_rulebase, spec, bad), _raised(ctl, bad)
+        assert type(got) is ValueError and str(got) == str(want)
 
 
 # ---- timing ----

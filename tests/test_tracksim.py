@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+from fuzzychip import flc
 from fuzzychip.fixedq import DomainMap, quantize
 from fuzzychip.flc import MIN, infer, validate_spec
 from fuzzychip.tracksim import (
@@ -116,7 +118,8 @@ def _east_path():
 
 def _window_command(path, pose, params, spec):
     start = closest_point(path, pose)
-    kappa, _ = spatial_window_command(path, start, pose, params, spec, error_maps(params))
+    ctl = flc.compile(spec)
+    kappa, _ = spatial_window_command(path, start, pose, params, ctl, error_maps(params))
     return kappa
 
 
@@ -216,7 +219,8 @@ def test_window_command_matches_manual_mean():
         out = infer(spec, (quantize(e_d, d_map).value, quantize(e_t, t_map).value))
         total += code_to_curvature(out.value, params.kappa_max)
     expect = max(min(total / len(idxs), params.kappa_max), -params.kappa_max)
-    got, got_errors = spatial_window_command(path, start, pose, params, spec, (d_map, t_map))
+    got, got_errors = spatial_window_command(path, start, pose, params, flc.compile(spec),
+                                             (d_map, t_map))
     assert got == pytest.approx(expect)
     assert got_errors == tracking_errors(path, start, pose)
 
@@ -289,6 +293,55 @@ def test_simulate_seed_reproducibility():
     assert a.to_csv_text() == b.to_csv_text()
     c = simulate(straight_waypoints(3000.0), TrackerParams(), noise=(0.05, 0.001), seed=12)
     assert c.to_csv_text() != a.to_csv_text()
+
+
+# A square loop that ends on its own start: samples of the closing leg
+# coincide with samples of the first, so closest_point meets exact ties
+# between far-apart indices on hundreds of steps.
+_LOOP_WAYPOINTS = [(0.0, 0.0), (3000.0, 0.0), (3000.0, 3000.0), (0.0, 3000.0),
+                   (0.0, 0.0), (1500.0, 0.0)]
+
+# sha256 of TraceLog.to_csv_text(); frozen, never to be updated
+_FROZEN_TRACES = {
+    "s_0.02_seed1": (dict(noise=(0.02, 0.0), seed=1),
+                     "858b25e5fbcbc58853fa3e908bcb02c63d96d3548727038fc155627ac45db42f"),
+    "s_0.02_seed2": (dict(noise=(0.02, 0.0), seed=2),
+                     "ae1a950bb13af05a89a242a7881ef69b20ffc76446bd64f1b2812ec42640ad49"),
+    "s_0.1_seed1": (dict(noise=(0.1, 0.0), seed=1),
+                    "065739bfad3279c6208f3251ec31b3e54bcd4b6e4ed4ff1ab0b306638f64f897"),
+    "s_0.1_seed2": (dict(noise=(0.1, 0.0), seed=2),
+                    "7e006e6bb523204ffd69b42d02c642ead9cb2fc459bb2ff6f70d51536f03a0e4"),
+    "s_0.5_seed1": (dict(noise=(0.5, 0.0), seed=1),
+                    "e9dbae69f1d198e70848bcb420877a48b02619c14d9392dde1faceeb904017c1"),
+    "s_0.5_seed2": (dict(noise=(0.5, 0.0), seed=2),
+                    "56b581d783e5f62410e2c0a213dd049f234d0ea1d3b140470908c352ab0084ea"),
+    "straight_offset": (dict(waypoints="straight", start=Pose(0.0, 500.0, 0.0)),
+                        "3bb0b649532ae3e5caf83eea1d8f0104e13827a2e162c53cf37f818673fe6b19"),
+    "window3": (dict(params=TrackerParams(window=3), noise=(0.1, 0.0), seed=3),
+                "bd25e0e990d2480e4b7df7306d8fb09d59cc5a4e08eccde3413ea25676acd846"),
+    "loop_ties": (dict(waypoints="loop", start=Pose(0.0, 0.0, 0.0), noise=(0.1, 0.0),
+                       seed=7, steps=2500),
+                  "c2a8b87e2b67d59b39695f8d9790b8737b28f72b06481bf95d031859141dc612"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_TRACES))
+def test_trace_bytes_frozen(name):
+    kwargs, digest = _FROZEN_TRACES[name]
+    kwargs = dict(kwargs)
+    waypoints = {"s": s_curve_waypoints(), "straight": straight_waypoints(),
+                 "loop": _LOOP_WAYPOINTS}[kwargs.pop("waypoints", "s")]
+    params = kwargs.pop("params", TrackerParams())
+    trace = simulate(waypoints, params, **kwargs)
+    assert hashlib.sha256(trace.to_csv_text().encode()).hexdigest() == digest
+
+
+def test_closest_point_far_apart_ties_go_low():
+    path = interpolate_path(_LOOP_WAYPOINTS, 100.0)
+    dup = [i for i in range(len(path)) if tuple(path.points[i]) == (200.0, 0.0)]
+    assert len(dup) == 2 and dup[1] - dup[0] > 100
+    assert closest_point(path, Pose(200.0, 0.0, 0.0)) == dup[0]
+    assert closest_point(path, Pose(200.0, -50.0, 0.0)) == dup[0]
 
 
 def test_simulate_noise_perturbs_estimate_only_at_first_step():
