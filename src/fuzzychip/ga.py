@@ -19,7 +19,9 @@ unsigned ints of score_sz bits.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 LFSR_TAPS = (16, 15, 13, 4)  # maximal-length polynomial, period 2^16 - 1
@@ -181,12 +183,13 @@ class GaConfig:
             out.append("mr must be in 0 .. 2^mut_res - 1")
         if self.max_gen < 0:
             out.append("max_gen must be >= 0")
-        for name in _as_schedule(self.cross_method):
-            if name not in CROSS_METHODS:
-                out.append(f"unknown cross_method {name!r}")
-        for name in _as_schedule(self.mut_method):
-            if name not in MUT_METHODS:
-                out.append(f"unknown mut_method {name!r}")
+        for field, known in (("cross_method", CROSS_METHODS), ("mut_method", MUT_METHODS)):
+            schedule = _as_schedule(getattr(self, field))
+            if not schedule:
+                out.append(f"{field} schedule is empty")
+            for name in schedule:
+                if name not in known:
+                    out.append(f"unknown {field} {name!r}")
         if len(self.seeds) != 4 or any(not 0 < s < (1 << 16) for s in self.seeds):
             out.append("seeds must be four nonzero 16-bit values")
         return out
@@ -216,11 +219,7 @@ class Population:
 
     def best_index(self) -> int:
         """Highest score, ties broken by lower index."""
-        best = 0
-        for i, s in enumerate(self.scores):
-            if s > self.scores[best]:
-                best = i
-        return best
+        return self.scores.index(max(self.scores))
 
 
 @dataclass(frozen=True)
@@ -249,6 +248,15 @@ def roulette_select(pop: Population, r: int, res: int) -> int:
         if acc > threshold:
             return i
     raise AssertionError("unreachable: threshold < total by construction")
+
+
+def _roulette_picks(scores: Sequence[int], words: Sequence[int], res: int) -> list[int]:
+    """roulette_select(pop, word mod 2^res, res) for each word, from one
+    cumulative wheel: the smallest index whose running sum strictly exceeds
+    T is bisect_right(wheel, T). The scores must not all be zero."""
+    wheel = list(accumulate(scores))
+    total, mask = wheel[-1], (1 << res) - 1
+    return [bisect_right(wheel, ((word & mask) * total) >> res) for word in words]
 
 
 def crossover(
@@ -301,10 +309,11 @@ def apply_elitism(
 ) -> Population:
     """Elites first (top scores from the previous generation, ties by lower
     index, carried with their known scores), then the children."""
-    order = sorted(range(len(old.genomes)), key=lambda i: (-old.scores[i], i))
+    # reverse=True keeps the sort stable: equal scores stay in index order
+    order = sorted(range(len(old.genomes)), key=old.scores.__getitem__, reverse=True)
     keep = order[:elite]
-    genomes = tuple(old.genomes[i] for i in keep) + tuple(child_genomes)
-    scores = tuple(old.scores[i] for i in keep) + tuple(child_scores)
+    genomes = tuple([old.genomes[i] for i in keep] + list(child_genomes))
+    scores = tuple([old.scores[i] for i in keep] + list(child_scores))
     return Population(genomes, scores)
 
 
@@ -329,19 +338,19 @@ def step_generation(
     exactly one word per parent whether or not the all-zero-fitness fallback
     (uniform pick, index = word mod pop_sz) is active. With an odd parent
     count the final parent skips crossover and is mutated as-is.
+
+    fitness_fn must be pure: a child equal to a genome of pop, or to an
+    earlier child of this generation, takes that genome's known score
+    instead of a new fitness_fn call (elitism already carries scores so).
     """
     sel_rng, cross_rng, mut_rng = rngs
-    n_children = cfg.pop_sz - cfg.elite
-    zero_wheel = sum(pop.scores) == 0
-
-    parents = []
-    for _ in range(n_children):
-        word = sel_rng.next_word()
-        if zero_wheel:
-            parents.append(pop.genomes[word % cfg.pop_sz])
-        else:
-            r = word & ((1 << cfg.scaling_factor_res) - 1)
-            parents.append(pop.genomes[roulette_select(pop, r, cfg.scaling_factor_res)])
+    words = sel_rng.next_words(cfg.pop_sz - cfg.elite)
+    genomes = pop.genomes
+    if sum(pop.scores) == 0:
+        picks = [word % cfg.pop_sz for word in words]
+    else:
+        picks = _roulette_picks(pop.scores, words, cfg.scaling_factor_res)
+    parents = [genomes[i] for i in picks]
 
     cross = method_for(cfg.cross_method, generation)
     children = []
@@ -355,7 +364,13 @@ def step_generation(
     children = [
         mutate(c, cfg.genom_lngt, mut, cfg.mr, cfg.mut_res, mut_rng) for c in children
     ]
-    scores = [_clamp_score(fitness_fn(c), cfg.score_sz) for c in children]
+    known = dict(zip(genomes, pop.scores))
+    scores = []
+    for c in children:
+        score = known.get(c)
+        if score is None:
+            score = known[c] = _clamp_score(fitness_fn(c), cfg.score_sz)
+        scores.append(score)
     return apply_elitism(pop, children, scores, cfg.elite)
 
 
@@ -372,7 +387,10 @@ def run(
     on_generation: Callable[[int, Population], None] | None = None,
 ) -> GaResult:
     """Full GA run. The observer checks fitness_limit before max_gen, so a
-    satisfied limit on generation 0 stops before any stepping."""
+    satisfied limit on generation 0 stops before any stepping.
+
+    fitness_fn must be pure (same genome, same score): step_generation
+    reuses the scores of genomes it has already seen."""
     cfg.validate()
     streams = [Lfsr16(s) for s in cfg.seeds]
     pop = init_population(cfg, fitness_fn, streams[0])

@@ -235,7 +235,9 @@ class TspFitness:
             )
         self.inst = inst
         self.score_sz = score_sz
-        self._n_fact = math.factorial(n)
+        fact = _factorials(n)
+        # n!, then the Lehmer place values (n-1)! and (n-2)!, ..., 1!
+        self._n_fact, self._lead, self._places = fact[n], fact[n - 1], fact[n - 2:0:-1]
         self._dist = distance_matrix(inst)
         self.l_max = n * max(max(row) for row in self._dist)
 
@@ -247,7 +249,21 @@ class TspFitness:
         return sum(self._dist[tour[k]][tour[(k + 1) % n]] for k in range(n))
 
     def __call__(self, genome: int) -> int:
-        score = self.l_max - self.length(self.decode(genome))
+        """clamp(l_max - length(decode(genome))) in one pass: each Lehmer
+        digit pops a city and adds the edge into it; the last digit is
+        always 0, so the one city left closes the tour."""
+        dist = self._dist
+        remaining = list(range(self.inst.dimension))
+        digit, value = divmod(genome % self._n_fact, self._lead)
+        first = prev = remaining.pop(digit)
+        total = 0
+        for place in self._places:
+            digit, value = divmod(value, place)
+            city = remaining.pop(digit)
+            total += dist[prev][city]
+            prev = city
+        last = remaining[0]
+        score = self.l_max - total - dist[prev][last] - dist[last][first]
         return min(max(score, 0), (1 << self.score_sz) - 1)
 
 

@@ -550,6 +550,61 @@ def test_ga_rejects_wide_benchmark_genome(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("field", ["cross_method", "mut_method"])
+def test_ga_rejects_empty_schedule(field, tmp_path):
+    # an empty schedule used to pass validation and crash in method_for
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({field: []}))
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzychip.cli", "ga", "--config", str(cfg),
+         "--fn", "sphere", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {field} schedule is empty\n"
+    assert proc.stdout == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
+# sha256 over generations_*.csv, result_*.json and stdout; computed before the
+# whole-generation GA step and frozen, never updated
+GA_FROZEN = {
+    "burma14": "912a155e49367a549cb49332a5c19e27905d93f8fd4c9f18f6a26917678d9956",
+    "rastrigin": "81cb064da7ad19b4902c48a1fa64bf780acfa3c01429928266a1905b061bbd23",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GA_FROZEN))
+def test_ga_bytes_frozen(name, burma_file, tmp_path, capsys):
+    if name == "burma14":
+        # acceptance-6 profile: uniform crossover, bit_flip mutation, elite 26,
+        # fitness-limit stop at tour length 4200; two seed sets
+        l_max = problems.TspFitness(problems.load_builtin("burma14"), 40).l_max
+        cfg = ga.GaConfig(genom_lngt=40, scaling_factor_res=16, elite=26,
+                          cross_method=ga.UNIFORM, mut_method=ga.BIT_FLIP,
+                          max_gen=400, fitness_limit=l_max - 4200)
+        source = ["--instance", burma_file,
+                  "--seeds", "0x2468,0xACE1,0x5EED,0x0F0F",
+                  "--seeds", "0x1357,0x9BDF,0x0246,0x8ACE"]
+    else:
+        # single_point then two_point crossover, single_bit mutation, and an
+        # odd parent count (29), so the last parent skips crossover
+        cfg = ga.GaConfig(elite=3, cross_method=(ga.SINGLE_POINT, ga.TWO_POINT),
+                          mut_method=ga.SINGLE_BIT, max_gen=120)
+        source = ["--fn", name]
+    cfg_path = tmp_path / "cfg.json"
+    ga.dump_config(cfg, cfg_path)
+    out = tmp_path / "o"
+    assert main(["ga", "--config", str(cfg_path), *source, "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.glob("generations_*.csv")) + sorted(out.glob("result_*.json")):
+        h.update(path.read_bytes())
+    h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == GA_FROZEN[name]
+
+
 def test_tsp_run(tsp_config_file, burma_file, tmp_path, capsys):
     out = tmp_path / "tsp_out"
     rc = main(

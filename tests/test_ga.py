@@ -4,13 +4,17 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzychip import problems
 from fuzzychip.ga import (
     BIT_FLIP,
+    CROSS_METHODS,
     FITNESS_LIMIT,
     LFSR_TAPS,
     MAX_GEN,
+    MUT_METHODS,
     SINGLE_BIT,
     SINGLE_POINT,
     TWO_POINT,
@@ -21,6 +25,7 @@ from fuzzychip.ga import (
     Lfsr16,
     Population,
     _draw_bits,
+    _roulette_picks,
     apply_elitism,
     config_from_dict,
     config_to_dict,
@@ -179,6 +184,8 @@ def test_default_config_is_valid():
         ({"max_gen": -1}, "max_gen"),
         ({"cross_method": "diagonal"}, "cross_method"),
         ({"mut_method": ("single_bit", "swap")}, "mut_method"),
+        ({"cross_method": ()}, "cross_method schedule is empty"),
+        ({"mut_method": ()}, "mut_method schedule is empty"),
         ({"seeds": (0, 1, 2, 3)}, "seeds"),
         ({"seeds": (1, 2, 3)}, "seeds"),
     ],
@@ -251,6 +258,25 @@ def test_roulette_rejects_bad_inputs():
         roulette_select(live, 16, 4)
     with pytest.raises(ValueError):
         roulette_select(live, -1, 4)
+
+
+@settings(max_examples=200)
+@given(
+    scores=st.lists(st.sampled_from((0, 0, 1, 1, 2, 7, 255, 65535)), min_size=2,
+                    max_size=64),
+    res=st.integers(1, 6),
+    high=st.integers(0, (1 << 10) - 1),
+)
+def test_roulette_picks_equal_roulette_select(scores, res, high):
+    # one cumulative wheel for every r at a small res; zeros and ties are
+    # common, and bits above res in the word are ignored
+    if sum(scores) == 0:
+        scores[-1] = 1
+    pop = Population(genomes=tuple(range(len(scores))), scores=tuple(scores))
+    words = [(high << res) | r for r in range(1 << res)]
+    assert _roulette_picks(pop.scores, words, res) == [
+        roulette_select(pop, r, res) for r in range(1 << res)
+    ]
 
 
 # ---- crossover ----
@@ -385,6 +411,11 @@ def test_apply_elitism_keeps_top_scores_ties_by_index():
     assert new.scores == (9, 9, 3, 4)
 
 
+def test_best_index_ties_by_lower_index():
+    assert Population(genomes=(5, 6, 7, 8), scores=(3, 9, 9, 1)).best_index() == 1
+    assert Population(genomes=(5, 6), scores=(0, 0)).best_index() == 0
+
+
 def test_apply_elitism_zero():
     old = Population(genomes=(1, 2), scores=(7, 8))
     new = apply_elitism(old, [5, 6], [1, 2], elite=0)
@@ -484,6 +515,88 @@ def test_step_generation_selection_budget():
     ref = Lfsr16(0x1234)
     ref.next_words(cfg.pop_sz - cfg.elite)
     assert sel.state == ref.state
+
+
+def _schedules(names):
+    """One method name, or a schedule of one to three."""
+    return st.one_of(st.sampled_from(names),
+                     st.lists(st.sampled_from(names), min_size=1, max_size=3).map(tuple))
+
+
+@settings(max_examples=200)
+@given(
+    data=st.data(),
+    half_pop=st.integers(1, 8),
+    genom_lngt=st.integers(2, 64),
+    cross=_schedules(CROSS_METHODS),
+    mut=_schedules(MUT_METHODS),
+    generation=st.integers(0, 3),
+    score_sz=st.integers(1, 16),
+    fit_mod=st.sampled_from((1, 3, 5, 251, 1 << 20)),
+    seeds=st.tuples(*[st.integers(1, 0xFFFF)] * 3),
+)
+def test_step_generation_equals_operator_composition(
+    data, half_pop, genom_lngt, cross, mut, generation, score_sz, fit_mod, seeds
+):
+    # random configs: odd parent tails, every method and schedule, small
+    # score widths that clamp, fit_mod 1 makes every score 0 (zero wheel)
+    pop_sz = 2 * half_pop
+    mut_res = data.draw(st.integers(1, 8))
+    cfg = GaConfig(
+        genom_lngt=genom_lngt,
+        score_sz=score_sz,
+        pop_sz=pop_sz,
+        scaling_factor_res=data.draw(st.integers(1, 16)),
+        elite=data.draw(st.integers(0, pop_sz - 1)),
+        mr=data.draw(st.integers(0, (1 << mut_res) - 1)),
+        mut_res=mut_res,
+        cross_method=cross,
+        mut_method=mut,
+    )
+    assert cfg.problems() == []
+    fit = lambda g: (g * 0x9E37 + 11) % fit_mod - 1  # pure; -1 clamps to 0
+    genomes = tuple(
+        data.draw(st.lists(st.integers(0, (1 << genom_lngt) - 1), min_size=pop_sz,
+                           max_size=pop_sz))
+    )
+    pop = Population(genomes, tuple(min(max(fit(g), 0), (1 << score_sz) - 1)
+                                    for g in genomes))
+    out = step_generation(pop, cfg, fit, tuple(Lfsr16(s) for s in seeds), generation)
+    assert out == _expected_generation(pop, cfg, fit, seeds, generation)
+
+
+@pytest.mark.parametrize("profile", ["burma14", "3-bit"])
+def test_step_generation_scores_each_new_child_once(profile):
+    # fitness_fn runs once per distinct child genome that is not in the
+    # parent population, and for no other. The acceptance-6 profile on
+    # burma14 repeats parents (elites, children the gate passes); 3-bit
+    # genomes also repeat children within a generation.
+    if profile == "burma14":
+        fit = problems.TspFitness(problems.load_builtin("burma14"), genom_lngt=40)
+        cfg = GaConfig(genom_lngt=40, pop_sz=32, scaling_factor_res=16, elite=26,
+                       mr=80, cross_method=UNIFORM, mut_method=BIT_FLIP)
+    else:
+        fit = lambda g: g + 1
+        cfg = GaConfig(genom_lngt=3, pop_sz=16, elite=1, mr=200)
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return fit(g)
+
+    pop = init_population(cfg, fit, Lfsr16(0x2468))
+    rngs = (Lfsr16(0xACE1), Lfsr16(0x5EED), Lfsr16(0x0F0F))
+    repeats = 0
+    for generation in range(200):
+        calls.clear()
+        new = step_generation(pop, cfg, counting, rngs, generation)
+        children = new.genomes[cfg.elite:]
+        repeats += len(children) - len(calls)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(children) - set(pop.genomes)
+        assert new.scores == tuple(fit(g) for g in new.genomes)
+        pop = new
+    assert repeats > 0
 
 
 def test_init_population_from_stream():

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzychip.problems import (
     BENCHMARKS,
@@ -282,6 +284,33 @@ def test_tsp_fitness_clamps_to_score_width():
     inst = load_builtin("burma14")
     fit = TspFitness(inst, genom_lngt=40, score_sz=8)
     assert all(fit(g) <= 255 for g in (0, 12345, (1 << 40) - 1))
+
+
+@settings(max_examples=100)
+@given(
+    rnd=st.randoms(use_true_random=False),
+    n=st.integers(3, 12),
+    edge_type=st.sampled_from((EUC_2D, GEO)),
+    extra_bits=st.integers(0, 8),
+    score_sz=st.sampled_from((1, 8, 12, 16, 24)),
+)
+def test_tsp_fitness_equals_decode_then_length(rnd, n, edge_type, extra_bits, score_sz):
+    # the one-pass fitness against the oracle path; genomes reach past n!
+    # (reduced mod n!) and small score widths clamp
+    if edge_type == EUC_2D:
+        coords = [(rnd.uniform(-500, 500), rnd.uniform(-500, 500)) for _ in range(n)]
+    else:  # DDD.MM latitude / longitude
+        coords = [(rnd.randint(-89, 89) + rnd.randint(0, 59) / 100,
+                   rnd.randint(-179, 179) + rnd.randint(0, 59) / 100) for _ in range(n)]
+    inst = TspInstance("rand", n, edge_type, tuple(coords))
+    bits = math.factorial(n).bit_length() + extra_bits
+    fit = TspFitness(inst, genom_lngt=bits, score_sz=score_sz)
+    top = (1 << score_sz) - 1
+    for g in [0, math.factorial(n) - 1, math.factorial(n), (1 << bits) - 1] + [
+        rnd.getrandbits(bits) for _ in range(30)
+    ]:
+        tour = lehmer_decode(g % math.factorial(n), n)
+        assert fit(g) == min(max(fit.l_max - fit.length(tour), 0), top)
 
 
 def test_tsp_fitness_genome_wraps_mod_factorial():
