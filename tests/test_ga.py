@@ -184,10 +184,10 @@ def test_default_config_is_valid():
         ({"max_gen": -1}, "max_gen"),
         ({"cross_method": "diagonal"}, "cross_method"),
         ({"mut_method": ("single_bit", "swap")}, "mut_method"),
-        ({"cross_method": ()}, "cross_method schedule is empty"),
-        ({"mut_method": ()}, "mut_method schedule is empty"),
         ({"seeds": (0, 1, 2, 3)}, "seeds"),
         ({"seeds": (1, 2, 3)}, "seeds"),
+        ({"cross_method": ()}, "cross_method schedule is empty"),
+        ({"mut_method": ()}, "mut_method schedule is empty"),
     ],
 )
 def test_config_problems(kwargs, needle):
