@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -136,15 +137,15 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _noise_pair(text: str) -> tuple[float, float]:
     parts = [float(p) for p in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected sigma_d,sigma_theta")
+    if len(parts) != 2 or not all(0 <= p < math.inf for p in parts):
+        raise argparse.ArgumentTypeError("expected finite, non-negative sigma_d,sigma_theta")
     return parts[0], parts[1]
 
 
 def _pose_triple(text: str) -> tuple[float, float, float]:
     parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected x,y,theta")
+    if len(parts) != 3 or not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError("expected finite x,y,theta")
     return parts[0], parts[1], parts[2]
 
 
@@ -348,6 +349,10 @@ def cmd_ga(args) -> int:
 
 # ---- track ----
 
+# longest resampled path track accepts, in samples (the sweep's row cap);
+# interpolate_path and each nearest-sample search grow with it
+TRACK_MAX_SAMPLES = 1 << 20
+
 
 def _track_payload(waypoints, noise, seed, steps, spacing, start):
     start_pose = tracksim.Pose(*start) if start else None
@@ -370,8 +375,12 @@ def _track_payload(waypoints, noise, seed, steps, spacing, start):
 
 def cmd_track(args) -> int:
     waypoints = _load(args.path, tracksim.load_waypoints)
-    if args.spacing <= 0 or args.steps <= 0:
-        raise CliError(EXIT_INVALID, "--spacing and --steps must be positive")
+    if not 0 < args.spacing < math.inf or args.steps <= 0:
+        raise CliError(EXIT_INVALID, "--spacing must be finite and positive, --steps positive")
+    length = sum(map(math.dist, waypoints, waypoints[1:]))
+    if length / args.spacing > TRACK_MAX_SAMPLES:
+        raise CliError(EXIT_INVALID, f"--spacing {args.spacing:g} resamples the path to "
+                                     f"more than {TRACK_MAX_SAMPLES} samples")
 
     seeds = list(args.seeds) if args.seeds else [0]
     out_dir = _prepare_out_dir(args)

@@ -53,8 +53,12 @@ class DomainMap:
         return (1 << self.bits) - 1
 
 
-def quantize(x: float, dmap: DomainMap) -> FixedWord:
+def quantize_code(x: float, dmap: DomainMap) -> int:
     """Nearest code for x; values outside [lo, hi] clamp to the end codes."""
-    t = (x - dmap.lo) / (dmap.hi - dmap.lo) * dmap.top
-    code = round_half_away(t)
-    return FixedWord(min(max(code, 0), dmap.top), dmap.bits)
+    top = dmap.top
+    return min(max(round_half_away((x - dmap.lo) / (dmap.hi - dmap.lo) * top), 0), top)
+
+
+def quantize(x: float, dmap: DomainMap) -> FixedWord:
+    """quantize_code(x, dmap) as a word of dmap.bits."""
+    return FixedWord(quantize_code(x, dmap), dmap.bits)

@@ -38,6 +38,10 @@ MUT_METHODS = (SINGLE_BIT, BIT_FLIP)
 MAX_GEN = "max_gen"
 FITNESS_LIMIT = "fitness_limit"
 
+# largest genom_lngt and pop_sz a config may ask for: bit_flip mutation
+# draws one word per bit, so a generation's time grows with both
+GA_MAX_SIZE = 4096
+
 
 class AllZeroFitness(ValueError):
     """Roulette selection is undefined when every score is zero."""
@@ -167,12 +171,12 @@ class GaConfig:
 
     def problems(self) -> list[str]:
         out = []
-        if self.genom_lngt < 2:
-            out.append("genom_lngt must be >= 2")
+        if not 2 <= self.genom_lngt <= GA_MAX_SIZE:
+            out.append(f"genom_lngt must be 2..{GA_MAX_SIZE}")
         if self.score_sz < 1:
             out.append("score_sz must be >= 1")
-        if self.pop_sz < 2 or self.pop_sz % 2:
-            out.append("pop_sz must be even and >= 2")
+        if not 2 <= self.pop_sz <= GA_MAX_SIZE or self.pop_sz % 2:
+            out.append(f"pop_sz must be even and 2..{GA_MAX_SIZE}")
         if not 0 <= self.elite < self.pop_sz:
             out.append("elite must be in 0 .. pop_sz - 1")
         if not 1 <= self.scaling_factor_res <= 16:

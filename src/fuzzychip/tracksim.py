@@ -21,10 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flc
-from .fixedq import DomainMap, quantize
+from .fixedq import DomainMap, quantize, quantize_code
 from .flc import MIN, STANDARD, FlcSpec, uniform_partition
 
 TRACE_HEADER = "t,x,y,theta,x_est,y_est,theta_est,e_d,e_theta,kappa"
+_ROW_FORMAT = ",".join(["%.6f"] * 10)
+# rows of (distance, heading) noise drawn per rng.normal call; memory stays
+# bounded whatever the step budget
+NOISE_BLOCK = 1024
 
 
 class ForwardOnly(ValueError):
@@ -82,6 +86,21 @@ class PathSamples:
         """Contiguous copies of the x and y columns of `points`."""
         return tuple(np.ascontiguousarray(col) for col in self.points.T)
 
+    @functools.cached_property
+    def _frames(self) -> dict[int, tuple]:
+        return {}
+
+    def frame(self, idx: int) -> tuple:
+        """(px, py, tx, ty, atan2(ty, tx)) of sample idx, from `_tangent`,
+        memoised on first use. px .. ty stay numpy float64, so e_d does too
+        and summary.json keeps numpy's rounding of it."""
+        entry = self._frames.get(idx)
+        if entry is None:
+            px, py = self.points[idx]
+            tx, ty = _tangent(self, idx)
+            entry = self._frames[idx] = (px, py, tx, ty, math.atan2(ty, tx))
+        return entry
+
 
 def interpolate_path(waypoints, spacing: float) -> PathSamples:
     """Resample a waypoint polyline at fixed arc-length steps.
@@ -117,8 +136,12 @@ def interpolate_path(waypoints, spacing: float) -> PathSamples:
 def closest_point(path: PathSamples, pose: Pose) -> int:
     """Index of the nearest sample; ties resolve to the lower index."""
     xs, ys = path.columns
-    d2 = (xs - pose.x) ** 2 + (ys - pose.y) ** 2
-    return int(np.argmin(d2))
+    d2 = xs - pose.x
+    d2 *= d2
+    dy = ys - pose.y
+    dy *= dy
+    d2 += dy
+    return int(d2.argmin())
 
 
 def _tangent(path: PathSamples, idx: int) -> tuple[float, float]:
@@ -138,11 +161,9 @@ def tracking_errors(path: PathSamples, idx: int, pose: Pose) -> tuple[float, flo
     positive when the path lies to the robot's left: the cross product of
     the unit tangent with (sample - position). e_theta is the wrapped
     difference (tangent angle - heading)."""
-    tx, ty = _tangent(path, idx)
-    px, py = path.points[idx]
+    px, py, tx, ty, heading = path.frame(idx)
     e_d = tx * (py - pose.y) - ty * (px - pose.x)
-    e_theta = wrap_angle(math.atan2(ty, tx) - pose.theta)
-    return e_d, e_theta
+    return e_d, wrap_angle(heading - pose.theta)
 
 
 def path_distance(path: PathSamples, x: float, y: float) -> float:
@@ -229,7 +250,7 @@ def spatial_window_command(
     errors = [tracking_errors(path, idx, pose) for idx in range(start, stop)]
     total = 0.0
     for e_d, e_t in errors:
-        code = ctl((quantize(e_d, d_map).value, quantize(e_t, t_map).value))
+        code = ctl((quantize_code(e_d, d_map), quantize_code(e_t, t_map)))
         total += code_to_curvature(code, params.kappa_max)
     kappa = min(max(total / len(errors), -params.kappa_max), params.kappa_max)
     return kappa, errors[0]
@@ -267,11 +288,9 @@ class TraceLog:
     def to_csv_text(self) -> str:
         lines = [TRACE_HEADER]
         for r in self.rows:
-            lines.append(
-                f"{r.t:.6f},{r.pose.x:.6f},{r.pose.y:.6f},{r.pose.theta:.6f},"
-                f"{r.pose_est.x:.6f},{r.pose_est.y:.6f},{r.pose_est.theta:.6f},"
-                f"{r.e_d:.6f},{r.e_theta:.6f},{r.kappa:.6f}"
-            )
+            lines.append(_ROW_FORMAT % (
+                r.t, r.pose.x, r.pose.y, r.pose.theta,
+                r.pose_est.x, r.pose_est.y, r.pose_est.theta, r.e_d, r.e_theta, r.kappa))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -295,12 +314,15 @@ def simulate(
     standard deviation sigma_d * (v * dt), i.e. sigma_d is expressed per mm
     traveled and applied along the estimated heading; sigma_theta is the
     per-step heading error (rad). Both perturb only the estimate. The start
-    pose defaults to the first sample, aligned with the initial tangent."""
+    pose defaults to the first sample, aligned with the initial tangent.
+    The noise is drawn in blocks of NOISE_BLOCK (d, theta) rows, the same
+    draws in the same order as two scalar rng.normal calls per step."""
     path = interpolate_path(waypoints, spacing)
     ctl = flc.compile(build_tracker_spec(params))
     maps = error_maps(params)
     rng = np.random.default_rng(seed)
     sigma_d, sigma_theta = noise
+    scale = (sigma_d * params.v * params.dt, sigma_theta)
 
     if start is None:
         tx, ty = _tangent(path, 0)
@@ -317,8 +339,9 @@ def simulate(
         rows.append(TraceRow(k * params.dt, true, est, e_d, e_t, kappa))
         true = step_kinematics(true, params.v, kappa, params.dt)
         est = step_kinematics(est, params.v, kappa, params.dt)
-        eps_d = rng.normal(0.0, sigma_d * params.v * params.dt)
-        eps_t = rng.normal(0.0, sigma_theta)
+        if k % NOISE_BLOCK == 0:
+            draws = rng.normal(0.0, scale, size=(min(steps - k, NOISE_BLOCK), 2)).tolist()
+        eps_d, eps_t = draws[k % NOISE_BLOCK]
         est = Pose(
             est.x + eps_d * math.cos(est.theta),
             est.y + eps_d * math.sin(est.theta),

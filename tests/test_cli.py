@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import random_knot_spec
-from fuzzychip import __version__, flc, flcref, ga, problems
+from fuzzychip import __version__, cli, flc, flcref, ga, problems
 from fuzzychip.cli import SWEEP_MAX_ROWS, CliError, _sweep_rows, main
 from fuzzychip.flcref import infer_real, lift, quantization_bound
 from fuzzychip.tracksim import (
@@ -550,6 +550,17 @@ def test_ga_rejects_wide_benchmark_genome(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_ga_rejects_huge_genome(tmp_path, capsys):
+    # bit_flip draws one word per bit; a 10^9-bit genome once validated
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"genom_lngt": 10**9}))
+    out = tmp_path / "o"
+    rc = main(["ga", "--config", str(cfg), "--fn", "sphere", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: genom_lngt must be 2..4096\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["cross_method", "mut_method"])
 def test_ga_rejects_empty_schedule(field, tmp_path):
     # an empty schedule used to pass validation and crash in method_for
@@ -711,6 +722,41 @@ def test_track_rejects_bad_numbers(waypoint_file, tmp_path):
          "--out", str(tmp_path / "o")]
     )
     assert rc == 1
+
+
+# nan and inf spacings once ran on a two-point path and exited 0; nan noise
+# or start poses died in quantize, inf noise printed numpy warnings, and a
+# negative sigma surfaced numpy's "scale < 0"
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, flag", [
+    (["--spacing", "nan"], "--spacing"),
+    (["--spacing", "inf"], "--spacing"),
+    (["--spacing", "0.0005"], "--spacing"),  # 6M samples on the 3 m line
+    (["--noise", "nan,0"], "--noise"),
+    (["--noise", "0,inf"], "--noise"),
+    (["--noise=-1,0"], "--noise"),
+    (["--start", "nan,0,0"], "--start"),
+    (["--start", "0,0,inf"], "--start"),
+])
+def test_track_rejects_non_finite_inputs(args, flag, waypoint_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["track", "--path", waypoint_file, *args, "--out", str(out)])
+    assert rc in (1, 2)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err
+    assert not out.exists()
+
+
+def test_track_sample_cap_boundary(waypoint_file, tmp_path, monkeypatch, capsys):
+    # the 3 m line at 100 mm spacing is 30 spacings long
+    monkeypatch.setattr(cli, "TRACK_MAX_SAMPLES", 30)
+    argv = ["track", "--path", waypoint_file, "--steps", "3", "--out"]
+    assert main(argv + [str(tmp_path / "a"), "--spacing", "100"]) == 0
+    assert main(argv + [str(tmp_path / "b"), "--spacing", "99.9"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --spacing 99.9 resamples the path to more than 30 samples\n")
 
 
 # ---- rerun and parallel determinism ----

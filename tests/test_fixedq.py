@@ -1,13 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuzzychip.fixedq import (
     MAX_BITS,
     DomainMap,
     FixedWord,
     quantize,
+    quantize_code,
     round_half_away,
 )
 
@@ -118,3 +122,37 @@ def test_math_consistency_with_floor_ceil():
         r = round_half_away(x)
         assert isinstance(r, int)
         assert math.floor(x) <= r <= math.ceil(x)
+
+
+def _quantize_word(x, dm):
+    """quantize as it was before quantize_code: a validated word per call."""
+    t = (x - dm.lo) / (dm.hi - dm.lo) * dm.top
+    return FixedWord(min(max(round_half_away(t), 0), dm.top), dm.bits)
+
+
+def _check_quantize_code(x, dm):
+    code = quantize_code(x, dm)
+    assert type(code) is int
+    assert code == quantize(x, dm).value == _quantize_word(x, dm).value
+    assert quantize(x, dm) == _quantize_word(x, dm)
+
+
+def test_quantize_code_ties_zeros_and_clamps():
+    for dm in (DomainMap(0.0, 255.0, 8), DomainMap(-1.0, 1.0, 1),
+               DomainMap(-math.pi, math.pi, 12), DomainMap(-3.0, 5.0, MAX_BITS)):
+        step = (dm.hi - dm.lo) / dm.top
+        for k in range(-3, 6):
+            for x in (dm.lo + (k + 0.5) * step, dm.hi - (k + 0.5) * step):
+                _check_quantize_code(x, dm)
+                _check_quantize_code(np.float64(x), dm)
+        for x in (0.0, -0.0, dm.lo, dm.hi, dm.lo - 1e6, dm.hi + 1e6):
+            _check_quantize_code(x, dm)
+    assert quantize_code(0.5, DomainMap(0.0, 255.0, 8)) == 1  # ties away from lo
+    assert quantize_code(-0.0, DomainMap(-1.0, 1.0, 1)) == 1
+
+
+@given(x=st.floats(-1e6, 1e6), lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3),
+       bits=st.integers(1, MAX_BITS))
+def test_quantize_code_equals_word_value(x, lo, width, bits):
+    dm = DomainMap(lo, lo + width, bits)
+    _check_quantize_code(x, dm)

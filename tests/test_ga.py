@@ -12,6 +12,7 @@ from fuzzychip.ga import (
     BIT_FLIP,
     CROSS_METHODS,
     FITNESS_LIMIT,
+    GA_MAX_SIZE,
     LFSR_TAPS,
     MAX_GEN,
     MUT_METHODS,
@@ -188,6 +189,8 @@ def test_default_config_is_valid():
         ({"seeds": (1, 2, 3)}, "seeds"),
         ({"cross_method": ()}, "cross_method schedule is empty"),
         ({"mut_method": ()}, "mut_method schedule is empty"),
+        ({"genom_lngt": 4097}, "genom_lngt must be 2..4096"),
+        ({"pop_sz": 4098}, "pop_sz must be even and 2..4096"),  # 4097 is odd anyway
     ],
 )
 def test_config_problems(kwargs, needle):
@@ -195,6 +198,13 @@ def test_config_problems(kwargs, needle):
     assert any(needle in p for p in cfg.problems())
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+def test_config_size_caps_are_inclusive():
+    # bit_flip draws one word per bit, so widths and populations are capped
+    assert GA_MAX_SIZE == 4096
+    assert GaConfig(genom_lngt=4096, pop_sz=4096).problems() == []
+    assert len(GaConfig(genom_lngt=4097, pop_sz=4097).problems()) == 2
 
 
 def test_method_schedule():

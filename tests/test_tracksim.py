@@ -1,18 +1,25 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuzzychip import flc
 from fuzzychip.fixedq import DomainMap, quantize
 from fuzzychip.flc import MIN, infer, validate_spec
 from fuzzychip.tracksim import (
+    NOISE_BLOCK,
     TRACE_HEADER,
     ForwardOnly,
     Pose,
     TrackerParams,
+    TraceLog,
+    TraceRow,
+    _tangent,
     build_tracker_spec,
     closest_point,
     code_to_curvature,
@@ -342,6 +349,119 @@ def test_closest_point_far_apart_ties_go_low():
     assert len(dup) == 2 and dup[1] - dup[0] > 100
     assert closest_point(path, Pose(200.0, 0.0, 0.0)) == dup[0]
     assert closest_point(path, Pose(200.0, -50.0, 0.0)) == dup[0]
+
+
+# ---- the flat step against a scalar oracle ----
+
+
+def _reference_rows(waypoints, params, start=None, noise=(0.0, 0.0), seed=0,
+                    steps=20000, spacing=100.0):
+    """The closed loop step by step, as the tracker first ran it: the
+    nearest-sample search with four numpy temporaries, the tangent from
+    `_tangent` per step, a validated FixedWord per controller input and two
+    scalar rng.normal calls per step."""
+    path = interpolate_path(waypoints, spacing)
+    ctl = flc.compile(build_tracker_spec(params))
+    d_map, t_map = error_maps(params)
+    rng = np.random.default_rng(seed)
+    sigma_d, sigma_theta = noise
+    if start is None:
+        tx, ty = _tangent(path, 0)
+        start = Pose(float(path.points[0, 0]), float(path.points[0, 1]), math.atan2(ty, tx))
+    true = est = start
+    rows = []
+    for k in range(steps):
+        idx = int(np.argmin((path.points[:, 0] - est.x) ** 2
+                            + (path.points[:, 1] - est.y) ** 2))
+        if idx == len(path) - 1:
+            break
+        errors, total = [], 0.0
+        for j in range(idx, min(idx + params.window, len(path))):
+            tx, ty = _tangent(path, j)
+            px, py = path.points[j]
+            e_d = tx * (py - est.y) - ty * (px - est.x)
+            e_t = wrap_angle(math.atan2(ty, tx) - est.theta)
+            errors.append((e_d, e_t))
+            code = ctl((quantize(e_d, d_map).value, quantize(e_t, t_map).value))
+            total += code_to_curvature(code, params.kappa_max)
+        kappa = min(max(total / len(errors), -params.kappa_max), params.kappa_max)
+        rows.append(TraceRow(k * params.dt, true, est, *errors[0], kappa))
+        true = step_kinematics(true, params.v, kappa, params.dt)
+        est = step_kinematics(est, params.v, kappa, params.dt)
+        eps_d = rng.normal(0.0, sigma_d * params.v * params.dt)
+        eps_t = rng.normal(0.0, sigma_theta)
+        est = Pose(est.x + eps_d * math.cos(est.theta), est.y + eps_d * math.sin(est.theta),
+                   wrap_angle(est.theta + eps_t))
+    return tuple(rows)
+
+
+def _assert_matches_reference(waypoints, params, **kwargs):
+    trace = simulate(waypoints, params, **kwargs)
+    expect = _reference_rows(waypoints, params, **kwargs)
+    assert trace.rows == expect
+    assert [type(r.e_d) for r in trace.rows] == [type(r.e_d) for r in expect]
+    assert trace.to_csv_text() == TraceLog(expect, trace.path).to_csv_text()
+    return trace
+
+
+_coord = st.floats(-3000.0, 3000.0).map(lambda v: round(v, 1))
+
+
+@given(
+    waypoints=st.one_of(
+        st.lists(st.tuples(_coord, _coord), min_size=2, max_size=5),
+        st.lists(st.tuples(_coord, _coord), min_size=2, max_size=4).map(
+            lambda pts: pts + pts[:1]),  # closed loop
+    ),
+    window=st.integers(1, 3),
+    noise=st.tuples(st.sampled_from([0.0, 0.02, 0.5]), st.sampled_from([0.0, 0.003])),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.sampled_from([1, 5, 300]),
+    spacing=st.sampled_from([40.0, 100.0, 250.0]),
+)
+def test_simulate_equals_scalar_reference(waypoints, window, noise, seed, steps, spacing):
+    pts = {(x, y) for x, y in waypoints}
+    if len(pts) < 2:
+        with pytest.raises(ValueError):
+            simulate(waypoints, TrackerParams(window=window), spacing=spacing)
+        return
+    _assert_matches_reference(waypoints, TrackerParams(window=window), noise=noise,
+                              seed=seed, steps=steps, spacing=spacing)
+
+
+# A closed square whose final sample ties with its first: the nearest sample is
+# never the final one, so the run lasts the whole step budget.
+_SQUARE = [(0.0, 0.0), (2000.0, 0.0), (2000.0, 2000.0), (0.0, 2000.0), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("steps", [NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1, 2100])
+def test_simulate_noise_blocks_match_scalar_draws(steps):
+    trace = _assert_matches_reference(_SQUARE, TrackerParams(window=2),
+                                      noise=(0.1, 0.002), seed=steps, steps=steps)
+    assert len(trace.rows) == steps  # so every block edge below steps is crossed
+
+
+def test_frame_memo_equals_tangent_everywhere():
+    path = interpolate_path(_LOOP_WAYPOINTS, 70.0)
+    for idx in reversed(range(len(path))):  # the final sample first
+        px, py = path.points[idx]
+        tx, ty = _tangent(path, idx)
+        assert path.frame(idx) == (px, py, tx, ty, math.atan2(ty, tx))
+        assert path.frame(idx) is path.frame(idx)
+
+
+def test_simulate_memory_bounded_by_path_not_step_budget():
+    kwargs = dict(noise=(0.1, 0.001), seed=4)
+    tracemalloc.start()
+    try:
+        trace = simulate(s_curve_waypoints(), TrackerParams(), steps=10**9, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the run stops at the final sample, as it does under the default budget
+    assert trace.rows == simulate(s_curve_waypoints(), TrackerParams(), **kwargs).rows
+    assert len(trace.rows) < 20000
+    assert peak < 4 * 2**20, peak
 
 
 def test_simulate_noise_perturbs_estimate_only_at_first_step():
