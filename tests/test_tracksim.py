@@ -356,10 +356,10 @@ def test_closest_point_far_apart_ties_go_low():
 
 def _reference_rows(waypoints, params, start=None, noise=(0.0, 0.0), seed=0,
                     steps=20000, spacing=100.0):
-    """The closed loop step by step, as the tracker first ran it: the
-    nearest-sample search with four numpy temporaries, the tangent from
-    `_tangent` per step, a validated FixedWord per controller input and two
-    scalar rng.normal calls per step."""
+    """The closed loop in scalar form: the nearest-sample search with four
+    numpy temporaries, the tangent from `_tangent` on every step, a
+    validated FixedWord per controller input and two scalar rng.normal
+    calls per step."""
     path = interpolate_path(waypoints, spacing)
     ctl = flc.compile(build_tracker_spec(params))
     d_map, t_map = error_maps(params)
