@@ -9,7 +9,7 @@ per-bit mutation, and a fitness-limit stop at tour length 4200."""
 import time
 
 from fuzzychip.ga import BIT_FLIP, UNIFORM, GaConfig, run
-from fuzzychip.problems import TspFitness, held_karp_optimum, load_builtin
+from fuzzychip.problems import TspFitness, held_karp_optimum, load_builtin, tour_length
 
 
 def main() -> None:
@@ -44,7 +44,7 @@ def main() -> None:
     elapsed = time.monotonic() - t0
 
     tour = fit.decode(result.best_genome)
-    length = fit.length(tour)
+    length = tour_length(inst, tour)
     print(f"\nGA improvements (generation -> best tour length):")
     for gen, best in progress[:: max(1, len(progress) // 10)]:
         print(f"  gen {gen:5d}: {best}")

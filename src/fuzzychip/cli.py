@@ -311,7 +311,7 @@ def _ga_payload(cfg: ga.GaConfig, fit, index: int) -> tuple[str, str, str]:
         doc["instance"] = fit.inst.name
         doc["dimension"] = fit.inst.dimension
         doc["tour"] = list(tour)
-        doc["tour_length"] = fit.length(tour)
+        doc["tour_length"] = problems.tour_length(fit.inst, tour)
         line = (f"run {index:03d}: length={doc['tour_length']} "
                 f"tour={'-'.join(str(c) for c in tour)} stop={result.stop_reason}")
     return "\n".join(rows) + "\n", _json_text(doc), line

@@ -7,14 +7,14 @@ with truncating division, and a cycle/latency model for the standard
 (one active rule per clock) and odd-even (two active rules per clock)
 processing schedules.
 
-The scalar path (`infer`, the tracker) runs on `compile(spec)`, which
-memoises each input's `active_pair` per code on first use and sums a plan of
-the 2^n active rules. Batched inference (`pair_tables`, `infer_batch`) lowers
-a spec to one `PairTable` per input -- `left`, `deg_left` and `deg_right` for
-every code, each filled by one scalar `active_pair` call -- and then fires
-the 2^n active rules of a block of points with numpy, in the offset order of
-`active_rules`. The membership arithmetic is never re-implemented, so every
-path equals `infer_full_rulebase` point for point.
+Every inference path sums the 2^n active rules through one function,
+`fire`, over one `firing_plan`. The scalar path (`infer`, the tracker) runs on
+`compile(spec)`, which memoises each input's `active_pair` per code on first
+use. Batched inference (`pair_tables`, `infer_batch`) lowers a spec to one
+`PairTable` per input -- `left`, `deg_left` and `deg_right` for every code,
+each filled by one scalar `active_pair` call -- and fires a block of points
+with numpy arrays in place of scalars. The membership arithmetic is never
+re-implemented, so every path equals `infer_full_rulebase` point for point.
 
 Width conventions:
     input codes       in_bits     unsigned
@@ -31,7 +31,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ AND_METHODS = (MIN, PROD)
 STANDARD = "standard"
 ODD_EVEN = "odd_even"
 MODES = (STANDARD, ODD_EVEN)
+MAX_STAGES = 65535  # deepest pipeline; a huge int overflowed stages * clock_ns
 
 
 class DenominatorZero(ArithmeticError):
@@ -161,10 +162,10 @@ def validate_spec(spec: FlcSpec) -> ValidationReport:
         problems.append(f"unknown and_method {spec.and_method!r}")
     if spec.mode not in MODES:
         problems.append(f"unknown mode {spec.mode!r}")
-    if spec.stages < 1:
-        problems.append(f"stages={spec.stages} must be >= 1")
-    if not spec.clock_ns > 0:  # NaN fails this too
-        problems.append(f"clock_ns={spec.clock_ns} must be positive")
+    if not 1 <= spec.stages <= MAX_STAGES:
+        problems.append(f"stages={spec.stages} outside 1..{MAX_STAGES}")
+    if not 0 < spec.clock_ns < float("inf"):  # NaN fails this too
+        problems.append(f"clock_ns={spec.clock_ns} must be positive and finite")
     if not (1 <= spec.in_bits <= 32 and 1 <= spec.cons_bits <= 32):
         # the universe checks below need 2^in_bits and 2^cons_bits
         return ValidationReport(False, tuple(problems))
@@ -299,6 +300,40 @@ def antecedent_weight(alphas: Sequence[int], method: str, alpha_bits: int) -> in
 # ---- inference ----
 
 
+@functools.cache
+def firing_plan(n: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(per-input offsets, rule-address offset) of the 2^n active rules, in
+    itertools.product((0, 1), repeat=n) order, which fixes the real float bits."""
+    digits = [m**k for k in range(n)]
+    return tuple((offsets, sum(map(operator.mul, offsets, digits)))
+                 for offsets in itertools.product((0, 1), repeat=n))
+
+
+def pair_operands(pairs: Sequence[ActivePair], m: int) -> tuple[object, list]:
+    """(base rule address, per-input (deg_left, deg_right)) of the pairs, for fire."""
+    base = sum(p.left * m**k for k, p in enumerate(pairs))
+    return base, [(p.deg_left, p.deg_right) for p in pairs]
+
+
+def fire(plan, base, degs, weigh, ys) -> tuple[object, object]:
+    """(num, den) over plan's firings (offsets, addr), one at a time: w = weigh(the
+    degrees at offsets), num += w * ys[base + addr], den += w. Python scalars, or numpy
+    arrays broadcast over a block of points (no np.sum: its order changes float bits)."""
+    num = den = 0
+    for offsets, addr in plan:
+        w = weigh(map(operator.getitem, degs, offsets))
+        num = num + w * ys[base + addr]
+        den = den + w
+    return num, den
+
+
+def _weigher(spec: FlcSpec, minimum):
+    """The rule weight of a firing's degrees: `minimum` for MIN, else the PROD fold."""
+    if spec.and_method == MIN:
+        return minimum
+    return lambda degs: antecedent_weight(list(degs), spec.and_method, spec.alpha_bits)
+
+
 def _check_inputs(spec: FlcSpec, inputs: Sequence[int]) -> None:
     if len(inputs) != spec.n:
         raise ValueError(f"expected {spec.n} inputs, got {len(inputs)}")
@@ -311,18 +346,16 @@ def _check_inputs(spec: FlcSpec, inputs: Sequence[int]) -> None:
 def active_rules(spec: FlcSpec, inputs: Sequence[int]) -> ActiveRuleSet:
     """Select the 2^n candidate rules for one input vector and weight them."""
     _check_inputs(spec, inputs)
-    m = spec.m
     pairs = tuple(
         active_pair(part, x, spec.alpha_bits)
         for part, x in zip(spec.partitions, inputs)
     )
+    base, degs = pair_operands(pairs, spec.m)
     firings = []
-    for offsets in itertools.product((0, 1), repeat=spec.n):
-        idxs = [p.left + off for p, off in zip(pairs, offsets)]
-        degs = [(p.deg_left, p.deg_right)[off] for p, off in zip(pairs, offsets)]
-        w = antecedent_weight(degs, spec.and_method, spec.alpha_bits)
-        addr = rule_address(idxs, m)
-        firings.append((addr, w, spec.singletons[addr]))
+    for offsets, addr in firing_plan(spec.n, spec.m):
+        w = antecedent_weight(list(map(operator.getitem, degs, offsets)),
+                              spec.and_method, spec.alpha_bits)
+        firings.append((base + addr, w, spec.singletons[base + addr]))
     return ActiveRuleSet(pairs, tuple(firings))
 
 
@@ -336,17 +369,14 @@ class Controller:
     """A spec lowered once; `ctl(inputs)` is `infer(spec, inputs).value`.
 
     Input k's memo maps each code seen to (left * m^k, (deg_left, deg_right)),
-    filled from `active_pair`; a call sums a plan of 2^n (offsets, address offset).
+    filled from `active_pair`; a call fires the spec's `firing_plan`.
     """
 
     def __init__(self, spec: FlcSpec):
         self.spec = spec
-        self._digits = [spec.m**k for k in range(spec.n)]
         self._memos = [{} for _ in range(spec.n)]
-        self._plan = [(offsets, sum(map(operator.mul, offsets, self._digits)))
-                      for offsets in itertools.product((0, 1), repeat=spec.n)]
-        self._weigh = min if spec.and_method == MIN else (
-            lambda degs: antecedent_weight(list(degs), spec.and_method, spec.alpha_bits))
+        self._plan = firing_plan(spec.n, spec.m)
+        self._weigh = _weigher(spec, min)
 
     def __call__(self, inputs: Sequence[int]) -> int:
         spec = self.spec
@@ -358,15 +388,10 @@ class Controller:
             if entry is None:  # only in-range codes are ever stored
                 _check_inputs(spec, inputs)
                 p = active_pair(spec.partitions[k], x, spec.alpha_bits)
-                entry = memo[x] = (p.left * self._digits[k], (p.deg_left, p.deg_right))
+                entry = memo[x] = (p.left * spec.m**k, (p.deg_left, p.deg_right))
             base += entry[0]
             degs.append(entry[1])
-        num = den = 0
-        for offsets, addr in self._plan:
-            w = self._weigh(map(operator.getitem, degs, offsets))
-            num += w * spec.singletons[base + addr]
-            den += w
-        return _defuzzify(spec, num, den)
+        return _defuzzify(spec, *fire(self._plan, base, degs, self._weigh, spec.singletons))
 
 
 compile = Controller  # flc.compile(spec): lower a spec once for repeated inference
@@ -452,19 +477,6 @@ def pair_tables(spec: FlcSpec) -> tuple[PairTable, ...]:
     )
 
 
-def fire_pairs(pairs: Sequence[ActivePair], m: int) -> Iterator[tuple[list, object]]:
-    """(per-input degrees, rule address) of each of the 2^n active rules.
-
-    Offsets run in itertools.product((0, 1), repeat=n) order. Array fields
-    broadcast against each other, so a grid block can pass a column of x0
-    codes and a row of x1 codes.
-    """
-    for offsets in itertools.product((0, 1), repeat=len(pairs)):
-        degs = [(p.deg_left, p.deg_right)[off] for p, off in zip(pairs, offsets)]
-        addr = sum((p.left + off) * m**k for k, (p, off) in enumerate(zip(pairs, offsets)))
-        yield degs, addr
-
-
 def infer_batch(spec: FlcSpec, pairs: Sequence[ActivePair]) -> np.ndarray:
     """infer(spec, xs).value at every point of a block of gathered pairs.
 
@@ -473,14 +485,8 @@ def infer_batch(spec: FlcSpec, pairs: Sequence[ActivePair]) -> np.ndarray:
     DenominatorZero if any point of the block has a zero denominator.
     """
     ys = np.array(spec.singletons, dtype=pairs[0].deg_left.dtype)
-    num = den = 0
-    for degs, addr in fire_pairs(pairs, spec.m):
-        if spec.and_method == MIN:
-            w = functools.reduce(np.minimum, degs)
-        else:
-            w = antecedent_weight(degs, spec.and_method, spec.alpha_bits)
-        num = num + w * ys[addr]
-        den = den + w
+    weigh = _weigher(spec, functools.partial(functools.reduce, np.minimum))
+    num, den = fire(firing_plan(spec.n, spec.m), *pair_operands(pairs, spec.m), weigh, ys)
     if np.any(den == 0):
         raise DenominatorZero(ZERO_DENOMINATOR)
     return (num // den) << (spec.out_bits - spec.cons_bits)

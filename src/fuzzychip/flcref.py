@@ -9,10 +9,10 @@ weight, so the bound composes one-sided error terms.
 Under the overlap-2 invariant every nonzero real degree at x lies in the
 pair `active_pair_real` returns, so the real model fires only the 2^n active
 rules, scalar (`infer_real`) and batched over per-input pair tables
-(`pair_tables_real`, `infer_real_batch`). Both add the nonzero terms in
-`itertools.product((0, 1), repeat=n)` offset order, which is the order of
-the full m^n loop restricted to the pairs, so their float bits equal the
-full-rulebase evaluation.
+(`pair_tables_real`, `infer_real_batch`). Both sum them with `flc.fire` in
+`flc.firing_plan` order, the order of the full m^n loop restricted to the
+pairs; the zero-weight terms that loop skips add 0.0 to non-negative sums, so
+the float bits equal the full-rulebase evaluation.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from .flc import (
     DenominatorZero,
     FlcSpec,
     PairTable,
-    fire_pairs,
+    fire,
+    firing_plan,
     membership,
+    pair_operands,
     tabulate_pairs,
 )
 
@@ -99,12 +101,8 @@ def infer_real(rspec: RealFlcSpec, xs: list[float] | tuple[float, ...]) -> float
     if len(xs) != rspec.n:
         raise ValueError(f"expected {rspec.n} inputs, got {len(xs)}")
     pairs = [active_pair_real(part, x) for part, x in zip(rspec.partitions, xs)]
-    num = den = 0.0
-    for degs, addr in fire_pairs(pairs, rspec.m):
-        w = min(degs) if rspec.and_method == MIN else math.prod(degs)
-        if w > 0.0:
-            num += w * rspec.singletons[addr]
-            den += w
+    num, den = fire(firing_plan(rspec.n, rspec.m), *pair_operands(pairs, rspec.m),
+                    min if rspec.and_method == MIN else math.prod, rspec.singletons)
     if den == 0.0:
         raise DenominatorZero(REAL_ZERO_DENOMINATOR)
     return num / den
@@ -125,19 +123,12 @@ def pair_tables_real(spec: FlcSpec, rspec: RealFlcSpec) -> tuple[PairTable, ...]
 
 
 def infer_real_batch(rspec: RealFlcSpec, pairs: Sequence[ActivePair]) -> np.ndarray:
-    """infer_real at every point of a block of gathered real pairs.
-
-    num and den grow one firing at a time where w > 0.0, as in the scalar
-    loop (no np.sum, whose pairwise order would change the float bits).
-    """
+    """infer_real at every point of a block of gathered real pairs, by the
+    same `fire` as the scalar path."""
     ys = np.array(rspec.singletons, dtype=np.float64)
-    num = den = 0.0
     combine = np.minimum if rspec.and_method == MIN else np.multiply
-    for degs, addr in fire_pairs(pairs, rspec.m):
-        w = functools.reduce(combine, degs)
-        fired = w > 0.0
-        num = np.where(fired, num + w * ys[addr], num)
-        den = np.where(fired, den + w, den)
+    num, den = fire(firing_plan(rspec.n, rspec.m), *pair_operands(pairs, rspec.m),
+                    functools.partial(functools.reduce, combine), ys)
     if np.any(den == 0.0):
         raise DenominatorZero(REAL_ZERO_DENOMINATOR)
     return num / den

@@ -173,8 +173,8 @@ class GaConfig:
         out = []
         if not 2 <= self.genom_lngt <= GA_MAX_SIZE:
             out.append(f"genom_lngt must be 2..{GA_MAX_SIZE}")
-        if self.score_sz < 1:
-            out.append("score_sz must be >= 1")
+        if not 1 <= self.score_sz <= 32:
+            out.append("score_sz must be 1..32")
         if not 2 <= self.pop_sz <= GA_MAX_SIZE or self.pop_sz % 2:
             out.append(f"pop_sz must be even and 2..{GA_MAX_SIZE}")
         if not 0 <= self.elite < self.pop_sz:
@@ -183,7 +183,7 @@ class GaConfig:
             out.append("scaling_factor_res must be 1..16")
         if not 1 <= self.mut_res <= 16:
             out.append("mut_res must be 1..16")
-        if not 0 <= self.mr < (1 << self.mut_res):
+        elif not 0 <= self.mr < (1 << self.mut_res):  # 2^mut_res needs a valid mut_res
             out.append("mr must be in 0 .. 2^mut_res - 1")
         if self.max_gen < 0:
             out.append("max_gen must be >= 0")

@@ -80,13 +80,13 @@ def parse_tsplib(text: str) -> TspInstance:
                 raise TsplibParseError(
                     f"line {lineno}: NODE_COORD_SECTION before DIMENSION"
                 )
+            if len(lines) - i < dimension:  # before allocating DIMENSION slots
+                raise TsplibParseError(
+                    f"line {len(lines)}: expected {dimension} coordinate "
+                    "lines, file ended early"
+                )
             coords = [None] * dimension
             for _ in range(dimension):
-                if i >= len(lines):
-                    raise TsplibParseError(
-                        f"line {len(lines)}: expected {dimension} coordinate "
-                        "lines, file ended early"
-                    )
                 lineno = i + 1
                 fields = lines[i].split()
                 i += 1
@@ -101,6 +101,8 @@ def parse_tsplib(text: str) -> TspInstance:
                     raise TsplibParseError(
                         f"line {lineno}: non-numeric coordinate line"
                     )
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise TsplibParseError(f"line {lineno}: non-finite coordinate")
                 if not 1 <= node <= dimension:
                     raise TsplibParseError(
                         f"line {lineno}: node id {node} outside 1..{dimension}"
@@ -178,11 +180,15 @@ def distance(inst: TspInstance, i: int, j: int) -> int:
 
 
 def distance_matrix(inst: TspInstance) -> list[list[int]]:
+    """All edge weights; ValueError if an edge length is not finite."""
     n = inst.dimension
     mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[i][j] = mat[j][i] = distance(inst, i, j)
+    try:
+        for i in range(n):
+            for j in range(i + 1, n):
+                mat[i][j] = mat[j][i] = distance(inst, i, j)
+    except (ValueError, OverflowError) as exc:  # int(inf) on EUC_2D, cos(inf) on GEO
+        raise ValueError(f"edge {i + 1}-{j + 1} length is not finite ({exc})") from exc
     return mat
 
 
@@ -244,12 +250,8 @@ class TspFitness:
     def decode(self, genome: int) -> tuple[int, ...]:
         return lehmer_decode(genome % self._n_fact, self.inst.dimension)
 
-    def length(self, tour) -> int:
-        n = len(tour)
-        return sum(self._dist[tour[k]][tour[(k + 1) % n]] for k in range(n))
-
     def __call__(self, genome: int) -> int:
-        """clamp(l_max - length(decode(genome))) in one pass: each Lehmer
+        """clamp(l_max - tour_length(decode(genome))) in one pass: each Lehmer
         digit pops a city and adds the edge into it; the last digit is
         always 0, so the one city left closes the tour."""
         dist = self._dist

@@ -655,6 +655,74 @@ def test_tsp_instance_parse_error(tsp_config_file, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: line 1: bad DIMENSION 'nope'\n"
 
 
+@pytest.mark.parametrize("edge_type", [problems.EUC_2D, problems.GEO])
+@pytest.mark.parametrize("line, expect", [
+    ("1 inf 0", "line 6: non-finite coordinate"),  # once an OverflowError traceback
+    ("1 nan 0", "line 6: non-finite coordinate"),  # once a late exit 1
+    ("1 -inf 0", "line 6: non-finite coordinate"),
+])
+def test_tsp_instance_rejects_non_finite_coordinates(
+        edge_type, line, expect, tsp_config_file, tmp_path, capsys):
+    inst = problems.load_builtin("burma14")
+    text = problems.format_tsplib(problems.TspInstance("x", 14, edge_type, inst.coords))
+    bad = tmp_path / "bad.tsp"
+    bad.write_text(text.replace(f"1 {inst.coords[0][0]:.10g} {inst.coords[0][1]:.10g}", line))
+    rc = main(["ga", "--config", tsp_config_file, "--instance", str(bad),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}: {expect}\n"
+
+
+@pytest.mark.parametrize("edge_type", [problems.EUC_2D, problems.GEO])
+def test_tsp_instance_rejects_overflowing_edges(edge_type, tsp_config_file, tmp_path, capsys):
+    # finite coordinates whose edge is inf: once an OverflowError traceback
+    coords = ((1e308, 0.0), (-1e308, 0.0)) + problems.load_builtin("burma14").coords[2:]
+    bad = tmp_path / "far.tsp"
+    bad.write_text(problems.format_tsplib(problems.TspInstance("far", 14, edge_type, coords)))
+    rc = main(["ga", "--config", tsp_config_file, "--instance", str(bad),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: edge 1-2 length is not finite") and err.count("\n") == 1
+
+
+def test_tsp_instance_huge_dimension_ends_early(tsp_config_file, tmp_path, capsys):
+    # the parser once allocated DIMENSION slots first: a MemoryError traceback
+    bad = tmp_path / "huge.tsp"
+    bad.write_text("DIMENSION: 100000000000\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+                   "NODE_COORD_SECTION\n1 0 0\nEOF\n")
+    rc = main(["ga", "--config", tsp_config_file, "--instance", str(bad),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 5: expected 100000000000 coordinate lines, file ended early\n")
+
+
+def test_ga_rejects_wide_score(tmp_path, capsys):
+    # score_sz 10^6 once validated and died in BenchmarkFitness
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"score_sz": 10**6}))
+    rc = main(["ga", "--config", str(cfg), "--fn", "sphere", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: score_sz must be 1..32\n"
+
+
+@pytest.mark.parametrize("key, value, expect", [
+    ("stages", 10**400, "outside 1..65535"),  # once an OverflowError traceback
+    ("clock_ns", "inf", "clock_ns=inf must be positive and finite"),  # once latency_ns=inf
+], ids=["stages-1e400", "clock_ns-inf"])
+def test_timing_rejects_unbounded_fields(key, value, expect, core_spec_file, tmp_path, capsys):
+    with open(core_spec_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc | {key: value}))
+    assert main(["flc", "timing", "--spec", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and expect in err[0]
+
+
 # ---- track ----
 
 

@@ -39,6 +39,7 @@ from fuzzychip.flc import (
     with_mode,
 )
 from fuzzychip.flcref import infer_real, infer_real_batch, lift, pair_tables_real
+from test_flcref import infer_real_full_rulebase
 
 MF = MembershipFunction
 
@@ -184,6 +185,23 @@ def test_validate_flags_widths_and_mode():
     assert any("unknown and_method" in p for p in problems)
     assert any("stages" in p for p in problems)
     assert any("clock_ns" in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("stages", 65536, "stages=65536 outside 1..65535"),
+        ("stages", 10**400, "outside 1..65535"),  # stages * clock_ns overflowed
+        ("clock_ns", float("inf"), "clock_ns=inf must be positive and finite"),
+        ("clock_ns", float("nan"), "clock_ns=nan must be positive and finite"),
+    ],
+    ids=["stages-65536", "stages-1e400", "clock_ns-inf", "clock_ns-nan"],
+)
+def test_validate_bounds_timing_fields(field, value, needle):
+    core = default_core_spec()
+    assert validate_spec(replace(core, stages=65535, clock_ns=1e300)).ok
+    report = validate_spec(replace(core, **{field: value}))
+    assert not report.ok and any(needle in p for p in report.problems)
 
 
 def test_validate_collects_instead_of_raising():
@@ -393,11 +411,14 @@ def _batch_or_zero(fn):
 )
 def test_batched_inference_equals_scalar(rnd, n, and_method, alpha_bits):
     # knot partitions reach degenerate edges and, at small alpha_bits, edges
-    # that floor to zero; a batch raises iff some of its rows does
+    # that floor to zero; a batch raises iff some of its rows does. Half the
+    # codes sit on MF breakpoints, where a neighbour degree is 0 and PROD
+    # firings weigh exactly 0.0.
     spec = random_knot_spec(rnd, n, rnd.randint(2, 7), alpha_bits, and_method)
     assume(validate_spec(spec).ok)
-    codes = [np.array([rnd.randrange(1 << spec.in_bits) for _ in range(48)])
-             for _ in range(n)]
+    knots = [[p for mf in part for p in (mf.a, mf.b, mf.c, mf.d)] for part in spec.partitions]
+    codes = [np.array([rnd.choice((rnd.randrange(1 << spec.in_bits), rnd.choice(ks)))
+                       for _ in range(48)]) for ks in knots]
     rows = list(zip(*(c.tolist() for c in codes)))
 
     tables = pair_tables(spec)
@@ -405,13 +426,18 @@ def test_batched_inference_equals_scalar(rnd, n, and_method, alpha_bits):
         lambda: infer_batch(spec, [t.at(c) for t, c in zip(tables, codes)]))
     assert fixed == _scalar_or_zero(lambda xs: infer(spec, xs).value, rows)
 
+    # both real paths, bit for bit against the independent m^n-rule oracle,
+    # which skips zero weights and raises on its own zero denominator
     rspec, scale = lift(spec), 1 << spec.in_bits
+    lifted = [[x / scale for x in row] for row in rows]
+    oracle = [_scalar_or_zero(lambda xs: infer_real_full_rulebase(rspec, xs), [xs])
+              for xs in lifted]  # [value] per row, or None
+    assert oracle == [_scalar_or_zero(lambda xs: infer_real(rspec, xs), [xs])
+                      for xs in lifted]
     rtables = pair_tables_real(spec, rspec)
     real = _batch_or_zero(
         lambda: infer_real_batch(rspec, [t.at(c) for t, c in zip(rtables, codes)]))
-    # exact float equality: same terms, same order
-    assert real == _scalar_or_zero(
-        lambda xs: infer_real(rspec, [x / scale for x in xs]), rows)
+    assert real == (None if None in oracle else [v for [v] in oracle])
 
 
 def test_batch_dtype_widens_past_62_bits():

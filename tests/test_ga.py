@@ -191,6 +191,9 @@ def test_default_config_is_valid():
         ({"mut_method": ()}, "mut_method schedule is empty"),
         ({"genom_lngt": 4097}, "genom_lngt must be 2..4096"),
         ({"pop_sz": 4098}, "pop_sz must be even and 2..4096"),  # 4097 is odd anyway
+        ({"score_sz": 33}, "score_sz must be 1..32"),
+        ({"score_sz": 10**6}, "score_sz must be 1..32"),  # once an OverflowError
+        ({"mut_res": -1}, "mut_res must be 1..16"),  # 1 << -1 once raised in problems()
     ],
 )
 def test_config_problems(kwargs, needle):
@@ -204,6 +207,7 @@ def test_config_size_caps_are_inclusive():
     # bit_flip draws one word per bit, so widths and populations are capped
     assert GA_MAX_SIZE == 4096
     assert GaConfig(genom_lngt=4096, pop_sz=4096).problems() == []
+    assert GaConfig(score_sz=32).problems() == []
     assert len(GaConfig(genom_lngt=4097, pop_sz=4097).problems()) == 2
 
 

@@ -87,6 +87,12 @@ def test_parse_out_of_order_node_ids():
         (lambda t: t.replace("2 3 4", "2 x 4"), "non-numeric"),
         (lambda t: t.replace("4 0 4", "9 0 4"), "outside 1..4"),
         (lambda t: t.replace("4 0 4", "2 0 4"), "duplicate node id"),
+        (lambda t: t.replace("2 3 4", "2 inf 4"), "line 7: non-finite coordinate"),
+        (lambda t: t.replace("2 3 4", "2 3 nan"), "line 7: non-finite coordinate"),
+        (lambda t: t.replace("2 3 4", "2 1e400 4"), "line 7: non-finite coordinate"),
+        # checked before DIMENSION slots are allocated (once a MemoryError)
+        (lambda t: t.replace("DIMENSION: 4", "DIMENSION: 100000000000"),
+         "line 10: expected 100000000000 coordinate lines, file ended early"),
     ],
 )
 def test_parse_errors_carry_line_numbers(mangle, needle):
@@ -310,7 +316,7 @@ def test_tsp_fitness_equals_decode_then_length(rnd, n, edge_type, extra_bits, sc
         rnd.getrandbits(bits) for _ in range(30)
     ]:
         tour = lehmer_decode(g % math.factorial(n), n)
-        assert fit(g) == min(max(fit.l_max - fit.length(tour), 0), top)
+        assert fit(g) == min(max(fit.l_max - tour_length(inst, tour), 0), top)
 
 
 def test_tsp_fitness_genome_wraps_mod_factorial():
