@@ -144,8 +144,10 @@ def _noise_pair(text: str) -> tuple[float, float]:
 
 def _pose_triple(text: str) -> tuple[float, float, float]:
     parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3 or not all(map(math.isfinite, parts)):
-        raise argparse.ArgumentTypeError("expected finite x,y,theta")
+    if (len(parts) != 3 or not all(map(math.isfinite, parts))
+            or max(map(abs, parts[:2])) > tracksim.MAX_COORD_MM):
+        raise argparse.ArgumentTypeError(
+            f"expected finite x,y,theta with |x|, |y| <= {tracksim.MAX_COORD_MM:g} mm")
     return parts[0], parts[1], parts[2]
 
 

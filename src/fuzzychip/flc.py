@@ -217,6 +217,13 @@ def validate_spec(spec: FlcSpec) -> ValidationReport:
     top_cons = (1 << spec.cons_bits) - 1
     if any(not 0 <= y <= top_cons for y in spec.singletons):
         problems.append("singleton outside the consequent universe")
+    if not problems:  # a valid shape bounds n, so 2^n cycles fit in a float
+        timing = estimate_timing(spec)
+        if not (0 < timing.latency_ns < float("inf")
+                and 0 < timing.sample_rate_hz < float("inf")):
+            problems.append(f"clock_ns={spec.clock_ns} gives latency_ns={timing.latency_ns}"
+                            f" and sample_rate_hz={timing.sample_rate_hz}; both must be"
+                            " positive and finite")
 
     return ValidationReport(not problems, tuple(problems))
 

@@ -10,7 +10,8 @@ is reproducible from its four seeds.
 A word is sixteen single-bit shifts (lfsr_step, the specification). The
 word equals the state it started from, and the next state, a GF(2)-linear
 map of it, is the XOR of two 256-entry table reads, one per state byte;
-lfsr_next says why.
+lfsr_next says why. Every stream walks the same cycle of 65,535 words, so
+bulk draws are slices of one precomputed orbit (_orbit), built on first use.
 
 Genomes are unsigned ints of genom_lngt bits (bit 0 = LSB); scores are
 unsigned ints of score_sz bits.
@@ -19,10 +20,14 @@ unsigned ints of score_sz bits.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 LFSR_TAPS = (16, 15, 13, 4)  # maximal-length polynomial, period 2^16 - 1
 
@@ -38,8 +43,9 @@ MUT_METHODS = (SINGLE_BIT, BIT_FLIP)
 MAX_GEN = "max_gen"
 FITNESS_LIMIT = "fitness_limit"
 
-# largest genom_lngt and pop_sz a config may ask for: bit_flip mutation
-# draws one word per bit, so a generation's time grows with both
+# largest genom_lngt and pop_sz a config may ask for: a gated bit_flip child
+# still consumes one word per bit (read as one slice of the orbit, not bit by
+# bit), so a generation's time and draws grow with both
 GA_MAX_SIZE = 4096
 
 
@@ -102,8 +108,52 @@ def lfsr_next(state: int) -> tuple[int, int]:
     return _NEXT_LO[state & 0xFF] ^ _NEXT_HI[state >> 8], state
 
 
+LFSR_PERIOD = (1 << 16) - 1  # words per cycle of every stream
+
+
+class _Orbit(NamedTuple):
+    words: array  # 'H': the stream from state 1, two periods and two words long
+    le_bytes: bytes  # the same words, little-endian, for multi-word values
+    index: array  # 'H': state -> its position in the first period
+
+
+@cache
+def _orbit() -> _Orbit:
+    """The stream from state 1, built by doubling in a few ms on first use.
+
+    With A the word map of lfsr_next, the word 2^j places after position i
+    is A^(2^j) of the word at i, so each doubling is one numpy read of the
+    byte tables of A^(2^j); those of A^(2^(j+1)) are A^(2^j) applied to
+    them (Haramoto et al., efficient jump ahead for F2-linear generators).
+    A slice of up to one period from a first-period position never runs
+    off the end."""
+    words = np.empty(1 << 17, dtype=np.uint16)
+    words[0] = 1
+    lo, hi = np.array(_NEXT_LO, np.uint16), np.array(_NEXT_HI, np.uint16)
+    n = 1
+    while n < len(words):
+        head = words[:n]
+        words[n:2 * n] = lo[head & 0xFF] ^ hi[head >> 8]
+        lo, hi = lo[lo & 0xFF] ^ hi[lo >> 8], lo[hi & 0xFF] ^ hi[hi >> 8]
+        n *= 2
+    index = np.zeros(1 << 16, dtype=np.uint16)
+    index[words[:LFSR_PERIOD]] = np.arange(LFSR_PERIOD, dtype=np.uint16)
+    return _Orbit(array("H", words.tobytes()), words.astype("<u2").tobytes(),
+                  array("H", index.tobytes()))
+
+
+@lru_cache(maxsize=4)
+def _hit_string(mr: int, mut_res: int) -> bytes:
+    """Byte i from the end is b'1' iff orbit word i is below mr mod 2^mut_res:
+    reversed, so that a slice read by int(..., 2) puts word i at bit i."""
+    words = np.frombuffer(_orbit().words, dtype=np.uint16)
+    hits = (words & ((1 << mut_res) - 1)) < mr
+    return (hits[::-1].astype(np.uint8) + ord("0")).tobytes()
+
+
 class Lfsr16:
-    """Mutable word-at-a-time stream with the transitions of lfsr_next."""
+    """Mutable word-at-a-time stream with the transitions of lfsr_next.
+    state is the next word; every draw rejects a corrupted one."""
 
     def __init__(self, seed: int):
         if not 0 < seed < (1 << 16):
@@ -117,31 +167,47 @@ class Lfsr16:
         self.state = _NEXT_LO[word & 0xFF] ^ _NEXT_HI[word >> 8]
         return word
 
-    def next_words(self, count: int) -> list[int]:
-        """The next `count` words, as `count` next_word calls would give."""
+    def _take(self, count: int) -> tuple[_Orbit, int]:
+        """The orbit and the position of the next word in it; skips `count`
+        words, 0 <= count <= LFSR_PERIOD."""
         state = self.state
         if not 0 < state < 0x10000:
             _reject_state(state)
-        lo, hi = _NEXT_LO, _NEXT_HI
+        if count > LFSR_PERIOD:
+            raise ValueError(f"one orbit read covers at most {LFSR_PERIOD} words, got {count}")
+        orbit = _orbit()
+        pos = orbit.index[state]
+        self.state = orbit.words[pos + count]
+        return orbit, pos
+
+    def next_words(self, count: int) -> list[int]:
+        """The next `count` words, as `count` next_word calls would give:
+        one orbit slice per period."""
         words = []
-        append = words.append
-        for _ in range(count):
-            append(state)
-            state = lo[state & 0xFF] ^ hi[state >> 8]
-        self.state = state
-        return words
-
-
-def _words_needed(bits: int) -> int:
-    return (bits + 15) // 16
+        while True:
+            take = min(max(count, 0), LFSR_PERIOD)
+            orbit, pos = self._take(take)
+            words += orbit.words[pos:pos + take].tolist()
+            count -= take
+            if count <= 0:
+                return words
 
 
 def _draw_bits(rng: Lfsr16, bits: int) -> int:
-    """Assemble a bits-wide value from 16-bit words, first word lowest."""
-    value = 0
-    for i, word in enumerate(rng.next_words(_words_needed(bits))):
-        value |= word << (16 * i)
+    """A bits-wide value from the next ceil(bits / 16) words, first word
+    lowest: one little-endian read of the orbit."""
+    count = (bits + 15) // 16
+    orbit, pos = rng._take(count)
+    value = int.from_bytes(orbit.le_bytes[2 * pos:2 * (pos + count)], "little")
     return value & ((1 << bits) - 1)
+
+
+def _flip_mask(rng: Lfsr16, bits: int, mr: int, mut_res: int) -> int:
+    """The bits mutate's bit_flip loop would flip with the next `bits` words:
+    bit b set iff (word b mod 2^mut_res) < mr. One read of _hit_string."""
+    hits = _hit_string(mr, mut_res)
+    end = len(hits) - rng._take(bits)[1]
+    return int(hits[end - bits:end], 2)
 
 
 # ---- configuration and population ----
@@ -223,6 +289,10 @@ class Population:
 
     def best_index(self) -> int:
         """Highest score, ties broken by lower index."""
+        return self._best
+
+    @cached_property  # found once per population: run and its observer both ask
+    def _best(self) -> int:
         return self.scores.index(max(self.scores))
 
 
@@ -341,7 +411,8 @@ def step_generation(
     rngs are the (selection, crossover, mutation) streams. Selection consumes
     exactly one word per parent whether or not the all-zero-fitness fallback
     (uniform pick, index = word mod pop_sz) is active. With an odd parent
-    count the final parent skips crossover and is mutated as-is.
+    count the final parent skips crossover and is mutated as-is. A gated
+    bit_flip child takes mutate's flips from one orbit read (_flip_mask).
 
     fitness_fn must be pure: a child equal to a genome of pop, or to an
     earlier child of this generation, takes that genome's known score
@@ -365,9 +436,13 @@ def step_generation(
         children.append(parents[-1])
 
     mut = method_for(cfg.mut_method, generation)
-    children = [
-        mutate(c, cfg.genom_lngt, mut, cfg.mr, cfg.mut_res, mut_rng) for c in children
-    ]
+    bits, mr, mut_res = cfg.genom_lngt, cfg.mr, cfg.mut_res
+    gate_mask = (1 << mut_res) - 1
+    for i, c in enumerate(children):
+        if mut != BIT_FLIP:
+            children[i] = mutate(c, bits, mut, mr, mut_res, mut_rng)
+        elif (mut_rng.next_word() & gate_mask) < mr:  # mutate's gate, then its flips
+            children[i] = c ^ _flip_mask(mut_rng, bits, mr, mut_res)
     known = dict(zip(genomes, pop.scores))
     scores = []
     for c in children:

@@ -29,6 +29,9 @@ _ROW_FORMAT = ",".join(["%.6f"] * 10)
 # rows of (distance, heading) noise drawn per rng.normal call; memory stays
 # bounded whatever the step budget
 NOISE_BLOCK = 1024
+# largest |x| or |y| of a loaded waypoint or a CLI start pose, in mm: the
+# squared distances of the nearest-sample search stay far below overflow
+MAX_COORD_MM = 1e9
 
 
 class ForwardOnly(ValueError):
@@ -391,7 +394,7 @@ def s_curve_waypoints(
 def load_waypoints(path) -> list[tuple[float, float]]:
     """Plain text, one 'x y' millimeter pair per line; blank lines and lines
     starting with '#' are skipped. ValueError on a malformed line or a
-    non-finite coordinate."""
+    coordinate that is not finite or lies beyond MAX_COORD_MM."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -404,6 +407,8 @@ def load_waypoints(path) -> list[tuple[float, float]]:
             x, y = float(fields[0]), float(fields[1])
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"line {lineno}: non-finite coordinate")
+            if max(abs(x), abs(y)) > MAX_COORD_MM:
+                raise ValueError(f"line {lineno}: coordinate beyond {MAX_COORD_MM:g} mm")
             out.append((x, y))
     return out
 

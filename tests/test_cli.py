@@ -710,7 +710,8 @@ def test_ga_rejects_wide_score(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, expect", [
     ("stages", 10**400, "outside 1..65535"),  # once an OverflowError traceback
     ("clock_ns", "inf", "clock_ns=inf must be positive and finite"),  # once latency_ns=inf
-], ids=["stages-1e400", "clock_ns-inf"])
+    ("clock_ns", 5e-324, "sample_rate_hz=inf"),  # once printed sample_rate_hz=inf
+], ids=["stages-1e400", "clock_ns-inf", "clock_ns-5e-324"])
 def test_timing_rejects_unbounded_fields(key, value, expect, core_spec_file, tmp_path, capsys):
     with open(core_spec_file, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -777,7 +778,9 @@ def test_track_bytes_frozen(tmp_path, capsys):
 
 def test_track_bad_waypoints(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    for text in ("1 2 3\n", "0 0\n1000 nan\n"):
+    # 1e300 once overflowed the squared distances: nan in summary.json and
+    # numpy warnings on stderr
+    for text in ("1 2 3\n", "0 0\n1000 nan\n", "0 0\n1e300 0\n", "0 0\n5 -1.5e9\n"):
         bad.write_text(text)
         rc = main(["track", "--path", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2, text
@@ -805,6 +808,7 @@ def test_track_rejects_bad_numbers(waypoint_file, tmp_path):
     (["--noise=-1,0"], "--noise"),
     (["--start", "nan,0,0"], "--start"),
     (["--start", "0,0,inf"], "--start"),
+    (["--start", "1e300,0,0"], "--start"),  # once summary.json held Infinity
 ])
 def test_track_rejects_non_finite_inputs(args, flag, waypoint_file, tmp_path, capsys):
     out = tmp_path / "o"

@@ -194,8 +194,11 @@ def test_validate_flags_widths_and_mode():
         ("stages", 10**400, "outside 1..65535"),  # stages * clock_ns overflowed
         ("clock_ns", float("inf"), "clock_ns=inf must be positive and finite"),
         ("clock_ns", float("nan"), "clock_ns=nan must be positive and finite"),
+        ("clock_ns", 5e-324, "sample_rate_hz=inf; both must be positive and finite"),
+        ("clock_ns", 1e308, "latency_ns=inf"),  # 11 stages overflow the latency
     ],
-    ids=["stages-65536", "stages-1e400", "clock_ns-inf", "clock_ns-nan"],
+    ids=["stages-65536", "stages-1e400", "clock_ns-inf", "clock_ns-nan",
+         "clock_ns-5e-324", "clock_ns-1e308"],
 )
 def test_validate_bounds_timing_fields(field, value, needle):
     core = default_core_spec()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzychip import problems
+from fuzzychip import ga, problems
 from fuzzychip.ga import (
     BIT_FLIP,
     CROSS_METHODS,
@@ -23,9 +23,12 @@ from fuzzychip.ga import (
     AllZeroFitness,
     GaConfig,
     GaResult,
+    LFSR_PERIOD,
     Lfsr16,
     Population,
     _draw_bits,
+    _flip_mask,
+    _orbit,
     _roulette_picks,
     apply_elitism,
     config_from_dict,
@@ -108,7 +111,18 @@ def test_lfsr_next_equals_sixteen_steps_on_every_state():
         assert lfsr_next(s) == (state, word)
 
 
-@pytest.mark.parametrize("count", [0, 1, 3, 40])
+def test_orbit_is_the_stream_from_state_one():
+    # every word's successor in the doubled orbit is lfsr_next of it, and
+    # the index maps the 65535 nonzero states one-to-one onto positions
+    words, le_bytes, index = _orbit()
+    assert words[0] == 1 and len(words) >= 2 * LFSR_PERIOD + 1
+    assert all(lfsr_next(w)[0] == nxt for w, nxt in zip(words, words[1:]))
+    assert le_bytes == b"".join(w.to_bytes(2, "little") for w in words)
+    assert sorted(index[1:]) == list(range(LFSR_PERIOD))
+    assert all(words[index[s]] == s for s in range(1, 1 << 16))
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 40, LFSR_PERIOD, LFSR_PERIOD + 7])
 def test_next_words_equals_repeated_next_word(count):
     for seed in (0x0001, 0xACE1, 0xFFFF):
         bulk, single = Lfsr16(seed), Lfsr16(seed)
@@ -125,6 +139,54 @@ def test_lfsr16_rejects_corrupted_state():
         for count in (0, 5):
             with pytest.raises(ValueError):
                 gen.next_words(count)
+        for bits in (1, 40):
+            with pytest.raises(ValueError):
+                _draw_bits(gen, bits)
+            with pytest.raises(ValueError):
+                _flip_mask(gen, bits, 80, 8)
+
+
+@pytest.mark.parametrize("stream", [0, 1, 2])
+@pytest.mark.parametrize("methods", [(UNIFORM, BIT_FLIP), (SINGLE_POINT, SINGLE_BIT)])
+def test_step_generation_rejects_corrupted_state(stream, methods):
+    # mr at its top value gates every child, so each stream is drawn from
+    cfg = GaConfig(genom_lngt=40, pop_sz=8, elite=2, mr=255, mut_res=8,
+                   cross_method=methods[0], mut_method=methods[1])
+    pop = Population(tuple(range(1, 9)), tuple(range(1, 9)))
+    for bad in (0, 1 << 16):
+        rngs = [Lfsr16(s) for s in (0x1234, 0x5EED, 0x0F0F)]
+        rngs[stream].state = bad
+        with pytest.raises(ValueError):
+            step_generation(pop, cfg, lambda g: g & 0xFF, tuple(rngs))
+
+
+def test_orbit_read_covers_at_most_one_period():
+    with pytest.raises(ValueError):
+        _draw_bits(Lfsr16(1), 16 * LFSR_PERIOD + 1)
+    gen = Lfsr16(1)
+    _draw_bits(gen, 16 * LFSR_PERIOD)
+    assert gen.state == 1
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(1, 0xFFFF), bits=st.integers(1, 4096))
+def test_draw_bits_equals_word_assembly(seed, bits):
+    gen, clone = Lfsr16(seed), Lfsr16(seed)
+    expect = sum(clone.next_word() << (16 * i) for i in range((bits + 15) // 16))
+    assert _draw_bits(gen, bits) == expect & ((1 << bits) - 1)
+    assert gen.state == clone.state
+
+
+@settings(max_examples=150)
+@given(data=st.data(), seed=st.integers(1, 0xFFFF), bits=st.integers(1, 4096),
+       mut_res=st.integers(1, 16))
+def test_flip_mask_equals_per_bit_draws(data, seed, bits, mut_res):
+    top = (1 << mut_res) - 1
+    mr = data.draw(st.one_of(st.sampled_from((0, 1, top)), st.integers(0, top)))
+    gen, clone = Lfsr16(seed), Lfsr16(seed)
+    expect = sum(1 << b for b in range(bits) if (clone.next_word() & top) < mr)
+    assert _flip_mask(gen, bits, mr, mut_res) == expect
+    assert gen.state == clone.state
 
 
 def test_lfsr16_wrapper():
@@ -425,6 +487,25 @@ def test_apply_elitism_keeps_top_scores_ties_by_index():
     assert new.scores == (9, 9, 3, 4)
 
 
+def test_best_index_found_once_per_generation(monkeypatch):
+    # run's stopping check and the CLI's generation log both ask each
+    # population for its best index; its scores are scanned once
+    from fuzzychip import cli
+
+    scans = []
+
+    def counting_max(*args, **kwargs):
+        if len(args) == 1:  # max(scores), not max(a, b)
+            scans.append(args[0])
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(ga, "max", counting_max, raising=False)
+    cfg = GaConfig(max_gen=5)
+    rows = cli._ga_payload(cfg, problems.BenchmarkFitness("sphere", 16, 16), 0)[0]
+    assert rows.count("\n") == 7  # header and generations 0..5
+    assert len(scans) == 6
+
+
 def test_best_index_ties_by_lower_index():
     assert Population(genomes=(5, 6, 7, 8), scores=(3, 9, 9, 1)).best_index() == 1
     assert Population(genomes=(5, 6), scores=(0, 0)).best_index() == 0
@@ -442,7 +523,7 @@ def test_apply_elitism_zero():
 
 def _expected_generation(pop, cfg, fitness_fn, seeds, generation=0):
     """Re-derive one generation from the operator functions on cloned
-    streams; exercises only step_generation's wiring."""
+    streams; returns the population and the three streams' states after it."""
     sel, cross, mut = (Lfsr16(s) for s in seeds)
     zero_wheel = sum(pop.scores) == 0
     parents = []
@@ -480,7 +561,14 @@ def _expected_generation(pop, cfg, fitness_fn, seeds, generation=0):
         for c in children
     ]
     scores = [min(max(fitness_fn(c), 0), (1 << cfg.score_sz) - 1) for c in children]
-    return apply_elitism(pop, children, scores, cfg.elite)
+    return apply_elitism(pop, children, scores, cfg.elite), (sel.state, cross.state, mut.state)
+
+
+def _step(pop, cfg, fitness_fn, seeds, generation=0):
+    """step_generation on fresh streams; the population and the streams' states."""
+    rngs = tuple(Lfsr16(s) for s in seeds)
+    out = step_generation(pop, cfg, fitness_fn, rngs, generation)
+    return out, tuple(r.state for r in rngs)
 
 
 def test_step_generation_matches_operator_composition():
@@ -491,9 +579,7 @@ def test_step_generation_matches_operator_composition():
         scores=tuple(fit(g) for g in (0x1111, 0x2222, 0x3333, 0x4444, 0x5555, 0x6666)),
     )
     seeds = (0x1234, 0x5EED, 0x0F0F)
-    rngs = tuple(Lfsr16(s) for s in seeds)
-    out = step_generation(pop, cfg, fit, rngs, generation=0)
-    assert out == _expected_generation(pop, cfg, fit, seeds)
+    assert _step(pop, cfg, fit, seeds) == _expected_generation(pop, cfg, fit, seeds)
 
 
 def test_step_generation_odd_parent_tail():
@@ -502,9 +588,9 @@ def test_step_generation_odd_parent_tail():
     fit = lambda g: g & 0xFF
     pop = Population(genomes=(1, 2, 3, 4), scores=tuple(fit(g) for g in (1, 2, 3, 4)))
     seeds = (0x0BAD, 0x0DAD, 0x0ADD)
-    out = step_generation(pop, cfg, fit, tuple(Lfsr16(s) for s in seeds), 0)
+    out = _step(pop, cfg, fit, seeds)
     assert out == _expected_generation(pop, cfg, fit, seeds)
-    assert len(out.genomes) == 4
+    assert len(out[0].genomes) == 4
 
 
 def test_step_generation_zero_wheel_fallback():
@@ -514,8 +600,7 @@ def test_step_generation_zero_wheel_fallback():
     fit = lambda g: 0
     pop = Population(genomes=(10, 20, 30, 40), scores=(0, 0, 0, 0))
     seeds = (0xACE1, 0x1234, 0x5EED)
-    out = step_generation(pop, cfg, fit, tuple(Lfsr16(s) for s in seeds), 0)
-    assert out == _expected_generation(pop, cfg, fit, seeds)
+    assert _step(pop, cfg, fit, seeds) == _expected_generation(pop, cfg, fit, seeds)
 
 
 def test_step_generation_selection_budget():
@@ -541,7 +626,7 @@ def _schedules(names):
 @given(
     data=st.data(),
     half_pop=st.integers(1, 8),
-    genom_lngt=st.integers(2, 64),
+    genom_lngt=st.integers(2, 300),
     cross=_schedules(CROSS_METHODS),
     mut=_schedules(MUT_METHODS),
     generation=st.integers(0, 3),
@@ -553,16 +638,18 @@ def test_step_generation_equals_operator_composition(
     data, half_pop, genom_lngt, cross, mut, generation, score_sz, fit_mod, seeds
 ):
     # random configs: odd parent tails, every method and schedule, small
-    # score widths that clamp, fit_mod 1 makes every score 0 (zero wheel)
+    # score widths that clamp, fit_mod 1 makes every score 0 (zero wheel),
+    # mr at both ends of its range; the streams' states must match too
     pop_sz = 2 * half_pop
-    mut_res = data.draw(st.integers(1, 8))
+    mut_res = data.draw(st.integers(1, 16))
+    top = (1 << mut_res) - 1
     cfg = GaConfig(
         genom_lngt=genom_lngt,
         score_sz=score_sz,
         pop_sz=pop_sz,
         scaling_factor_res=data.draw(st.integers(1, 16)),
         elite=data.draw(st.integers(0, pop_sz - 1)),
-        mr=data.draw(st.integers(0, (1 << mut_res) - 1)),
+        mr=data.draw(st.one_of(st.sampled_from((0, top)), st.integers(0, top))),
         mut_res=mut_res,
         cross_method=cross,
         mut_method=mut,
@@ -575,8 +662,8 @@ def test_step_generation_equals_operator_composition(
     )
     pop = Population(genomes, tuple(min(max(fit(g), 0), (1 << score_sz) - 1)
                                     for g in genomes))
-    out = step_generation(pop, cfg, fit, tuple(Lfsr16(s) for s in seeds), generation)
-    assert out == _expected_generation(pop, cfg, fit, seeds, generation)
+    assert (_step(pop, cfg, fit, seeds, generation)
+            == _expected_generation(pop, cfg, fit, seeds, generation))
 
 
 @pytest.mark.parametrize("profile", ["burma14", "3-bit"])

@@ -539,3 +539,6 @@ def test_waypoint_file_comments_and_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError, match="line 2: non-finite"):
             load_waypoints(bad)
+    bad.write_text("0 0\n-1e10 0\n")  # 1e300 once overflowed the nearest-sample search
+    with pytest.raises(ValueError, match="line 2: coordinate beyond 1e\\+09 mm"):
+        load_waypoints(bad)
