@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
@@ -286,14 +286,15 @@ def method_for(method: str | Sequence[str], generation: int) -> str:
 class Population:
     genomes: tuple[int, ...]
     scores: tuple[int, ...]
+    # found once per population: run and its observer both ask for it
+    _best: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_best", self.scores.index(max(self.scores)))
 
     def best_index(self) -> int:
         """Highest score, ties broken by lower index."""
         return self._best
-
-    @cached_property  # found once per population: run and its observer both ask
-    def _best(self) -> int:
-        return self.scores.index(max(self.scores))
 
 
 @dataclass(frozen=True)
