@@ -14,6 +14,7 @@ import io
 import json
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +163,7 @@ def _check_validate(rc: int, out: str, err: str) -> None:
         _check_exit(rc, err)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning is a defect, not noise
 @settings(max_examples=200)
 @given(edits=st.lists(st.one_of(_set_field, _drop_field, _set_mf, _set_singleton),
                       min_size=1, max_size=4),
@@ -209,6 +211,11 @@ _wp_line = st.tuples(st.just("line"), st.integers(0, 10**6),
                      st.sampled_from(("", "#", "1", "1 2 3", "x y", "\t", "0 0", "1e308 1e308")))
 
 
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning is a defect, not noise
 @settings(max_examples=150)
 @given(edits=st.lists(st.one_of(_wp_coord, _wp_drop, _wp_copy, _wp_line),
                       min_size=1, max_size=4),
@@ -219,6 +226,9 @@ def test_fuzz_waypoint_loader(edits, spacing, start, tmp_path_factory):
     tmp = tmp_path_factory.getbasetemp()
     path = tmp / "waypoints_fuzz.txt"
     path.write_text(_mutate_waypoints(edits))
+    out = tmp / "track_fuzz_out"
     rc, _, err = _run(["track", "--path", str(path), "--steps", "5", "--spacing", spacing,
-                       *start, "--out", str(tmp / "track_fuzz_out")])
+                       *start, "--out", str(out)])
     _check_exit(rc, err)
+    if rc == 0:  # strict JSON: no NaN or Infinity
+        json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
