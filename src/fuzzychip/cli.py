@@ -20,12 +20,9 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-import numpy as np
-
-from . import __version__, flc, ga, problems, tracksim
+from . import __version__, flc, ga, problems
 from .flcref import (
     infer_real,
     infer_real_batch,
@@ -143,6 +140,8 @@ def _noise_pair(text: str) -> tuple[float, float]:
 
 
 def _pose_triple(text: str) -> tuple[float, float, float]:
+    from . import tracksim
+
     parts = [float(p) for p in text.split(",")]
     if (len(parts) != 3 or not all(map(math.isfinite, parts))
             or max(map(abs, parts[:2])) > tracksim.MAX_COORD_MM):
@@ -221,6 +220,8 @@ def _sweep_chunks(spec: flc.FlcSpec):
     implies a zero fixed one at the same point: the fixed check, which runs
     first on each block, decides the error message.
     """
+    import numpy as np
+
     rspec = lift(spec)
     tables = flc.pair_tables(spec)
     rtables = pair_tables_real(spec, rspec)
@@ -263,15 +264,25 @@ def cmd_flc_sweep(args) -> int:
 # ---- ga ----
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _fan_out(fn, calls: list[tuple], jobs: int) -> list:
-    """[fn(*args) for args in calls], in up to `jobs` worker processes.
+    """[fn(*args) for args in calls], in up to `jobs` worker processes, never
+    more than there are calls or usable CPUs.
 
     fn and its arguments must be picklable. Results come back in call order,
     and the parent writes them, so output bytes do not depend on scheduling.
     """
-    jobs = min(jobs, len(calls))
+    jobs = min(jobs, len(calls), _usable_cpus())
     if jobs <= 1:
         return [fn(*a) for a in calls]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, *zip(*calls)))
 
@@ -357,6 +368,8 @@ TRACK_MAX_SAMPLES = 1 << 20
 
 
 def _track_payload(waypoints, noise, seed, steps, spacing, start):
+    from . import tracksim
+
     start_pose = tracksim.Pose(*start) if start else None
     trace = tracksim.simulate(waypoints, tracksim.TrackerParams(), start=start_pose,
                               noise=noise, seed=seed, steps=steps, spacing=spacing)
@@ -376,6 +389,8 @@ def _track_payload(waypoints, noise, seed, steps, spacing, start):
 
 
 def cmd_track(args) -> int:
+    from . import tracksim
+
     waypoints = _load(args.path, tracksim.load_waypoints)
     if not 0 < args.spacing < math.inf or args.steps <= 0:
         raise CliError(EXIT_INVALID, "--spacing must be finite and positive, --steps positive")

@@ -31,11 +31,12 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .fixedq import FixedWord, round_half_away
+
+if TYPE_CHECKING:  # numpy loads in the batched functions that use it
+    import numpy as np
 
 MIN = "min"
 PROD = "prod"
@@ -449,6 +450,8 @@ class PairTable:
 
 def tabulate_pairs(pair_at, size: int, dtype) -> PairTable:
     """PairTable of the scalar pair_at(x) for x in 0 .. size - 1."""
+    import numpy as np
+
     table = PairTable(np.empty(size, np.intp), np.empty(size, dtype), np.empty(size, dtype))
     for x in range(size):
         pair = pair_at(x)
@@ -467,6 +470,8 @@ def batch_dtype(spec: FlcSpec):
     arrays of Python ints.
     """
     if spec.alpha_bits + spec.cons_bits + spec.n <= 62 and 2 * spec.alpha_bits <= 62:
+        import numpy as np
+
         return np.int64
     return object
 
@@ -491,6 +496,8 @@ def infer_batch(spec: FlcSpec, pairs: Sequence[ActivePair]) -> np.ndarray:
     PROD fold per firing, then num // den and the output shift. Raises
     DenominatorZero if any point of the block has a zero denominator.
     """
+    import numpy as np
+
     ys = np.array(spec.singletons, dtype=pairs[0].deg_left.dtype)
     weigh = _weigher(spec, functools.partial(functools.reduce, np.minimum))
     num, den = fire(firing_plan(spec.n, spec.m), *pair_operands(pairs, spec.m), weigh, ys)

@@ -20,9 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .flc import (
     MIN,
@@ -36,6 +34,9 @@ from .flc import (
     pair_operands,
     tabulate_pairs,
 )
+
+if TYPE_CHECKING:  # numpy loads in the batched functions that use it
+    import numpy as np
 
 REAL_ZERO_DENOMINATOR = "all real rule weights are zero for this input vector"
 
@@ -111,6 +112,8 @@ def infer_real(rspec: RealFlcSpec, xs: list[float] | tuple[float, ...]) -> float
 def pair_tables_real(spec: FlcSpec, rspec: RealFlcSpec) -> tuple[PairTable, ...]:
     """Per-input real pair tables over the codes 0 .. 2^in_bits - 1 of spec,
     each code lifted as in infer_real's callers (x / 2^in_bits)."""
+    import numpy as np
+
     in_scale = 1 << spec.in_bits
     return tuple(
         tabulate_pairs(
@@ -125,6 +128,8 @@ def pair_tables_real(spec: FlcSpec, rspec: RealFlcSpec) -> tuple[PairTable, ...]
 def infer_real_batch(rspec: RealFlcSpec, pairs: Sequence[ActivePair]) -> np.ndarray:
     """infer_real at every point of a block of gathered real pairs, by the
     same `fire` as the scalar path."""
+    import numpy as np
+
     ys = np.array(rspec.singletons, dtype=np.float64)
     combine = np.minimum if rspec.and_method == MIN else np.multiply
     num, den = fire(firing_plan(rspec.n, rspec.m), *pair_operands(pairs, rspec.m),

@@ -1,6 +1,8 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -126,6 +128,64 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == __version__
+
+
+# A fresh interpreter imports the package and runs each argv, and reports which
+# of the modules a cold start must not pay for it holds after each step,
+# with main's exit code for the argvs.
+COLD_START = r"""
+import contextlib, io, json, sys
+
+HEAVY = ("numpy", "fuzzychip.tracksim", "concurrent.futures.process")
+
+
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+
+
+import fuzzychip
+report = {"import fuzzychip": loaded()}
+import fuzzychip.cli
+report["import fuzzychip.cli"] = loaded()
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = fuzzychip.cli.main(argv)
+        except SystemExit as exc:  # --version
+            code = exc.code
+    report[" ".join(argv[:2])] = [code, loaded()]
+print(json.dumps(report))
+"""
+
+
+def _cold_start(argvs: list[list[str]]) -> dict:
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_cold_start_loads_no_numpy_tracker_or_pool(core_spec_file):
+    report = _cold_start([
+        ["flc", "validate", "--spec", core_spec_file],
+        ["flc", "eval", "--spec", core_spec_file, "--input", "2048,1024,0,4095"],
+        ["flc", "timing", "--spec", core_spec_file],
+        ["--version"],
+    ])
+    assert report == {"import fuzzychip": [], "import fuzzychip.cli": [],
+                      "flc validate": [0, []], "flc eval": [0, []],
+                      "flc timing": [0, []], "--version": [0, []]}
+
+
+def test_cold_start_sweep_loads_numpy(tmp_path):
+    spec = tmp_path / "spec.json"
+    flc.dump_spec(_frozen_sweep_specs()["n1_prod"], spec)
+    out = tmp_path / "o"
+    report = _cold_start([["flc", "sweep", "--spec", str(spec), "--out", str(out)]])
+    assert report["import fuzzychip.cli"] == []
+    assert report["flc sweep"] == [0, ["numpy"]]
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == FROZEN_SWEEP_SHA256["n1_prod"]
 
 
 def test_fn_and_instance_are_exclusive(ga_config_file, burma_file, tmp_path, capsys):
@@ -888,3 +948,47 @@ def test_parallel_jobs_byte_identical(
         assert main(argv + ["--out", str(serial), "--jobs", "1"]) == 0
         assert main(argv + ["--out", str(parallel), "--jobs", jobs]) == 0
         assert _hash_tree(serial) == _hash_tree(parallel), name
+
+
+class _InlinePool:
+    """ProcessPoolExecutor stand-in: records max_workers, runs the calls inline."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("affinity, cpu_count, workers", [
+    ({0, 1}, 64, [2]),  # affinity mask wins over the machine's CPU count
+    (None, 3, [3]),  # no affinity API: os.cpu_count()
+    (None, None, []),  # unknown CPU count: one, so no pool at all
+])
+def test_jobs_clamped_to_usable_cpus(affinity, cpu_count, workers, ga_config_file,
+                                     tmp_path, monkeypatch, capsys):
+    argv = ["ga", "--config", ga_config_file, "--fn", "sphere"]
+    for seed in range(1, 7):
+        argv += ["--seeds", f"{seed},{seed + 10},{seed + 20},{seed + 30}"]
+    assert main(argv + ["--out", str(tmp_path / "serial"), "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+
+    monkeypatch.setattr(_InlinePool, "started", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert main(argv + ["--out", str(tmp_path / "wide"), "--jobs", "64"]) == 0
+    assert _InlinePool.started == workers
+    assert capsys.readouterr().out == serial
+    assert _hash_tree(tmp_path / "serial") == _hash_tree(tmp_path / "wide")
