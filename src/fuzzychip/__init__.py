@@ -41,7 +41,7 @@ _HOMES = {
     "TrackerParams": "tracksim",
     "simulate": "tracksim",
 }
-_SUBMODULES = frozenset(_HOMES.values()) | {"cli"}
+_SUBMODULES = frozenset(_HOMES.values())
 
 __all__ = [*_HOMES, "__version__"]
 

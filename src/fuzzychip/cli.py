@@ -141,7 +141,6 @@ def _noise_pair(text: str) -> tuple[float, float]:
 
 def _pose_triple(text: str) -> tuple[float, float, float]:
     from . import tracksim
-
     parts = [float(p) for p in text.split(",")]
     if (len(parts) != 3 or not all(map(math.isfinite, parts))
             or max(map(abs, parts[:2])) > tracksim.MAX_COORD_MM):
@@ -221,7 +220,6 @@ def _sweep_chunks(spec: flc.FlcSpec):
     first on each block, decides the error message.
     """
     import numpy as np
-
     rspec = lift(spec)
     tables = flc.pair_tables(spec)
     rtables = pair_tables_real(spec, rspec)
@@ -282,7 +280,6 @@ def _fan_out(fn, calls: list[tuple], jobs: int) -> list:
     if jobs <= 1:
         return [fn(*a) for a in calls]
     from concurrent.futures import ProcessPoolExecutor
-
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, *zip(*calls)))
 
@@ -369,7 +366,6 @@ TRACK_MAX_SAMPLES = 1 << 20
 
 def _track_payload(waypoints, noise, seed, steps, spacing, start):
     from . import tracksim
-
     start_pose = tracksim.Pose(*start) if start else None
     trace = tracksim.simulate(waypoints, tracksim.TrackerParams(), start=start_pose,
                               noise=noise, seed=seed, steps=steps, spacing=spacing)
@@ -390,7 +386,6 @@ def _track_payload(waypoints, noise, seed, steps, spacing, start):
 
 def cmd_track(args) -> int:
     from . import tracksim
-
     waypoints = _load(args.path, tracksim.load_waypoints)
     if not 0 < args.spacing < math.inf or args.steps <= 0:
         raise CliError(EXIT_INVALID, "--spacing must be finite and positive, --steps positive")

@@ -451,7 +451,6 @@ class PairTable:
 def tabulate_pairs(pair_at, size: int, dtype) -> PairTable:
     """PairTable of the scalar pair_at(x) for x in 0 .. size - 1."""
     import numpy as np
-
     table = PairTable(np.empty(size, np.intp), np.empty(size, dtype), np.empty(size, dtype))
     for x in range(size):
         pair = pair_at(x)
@@ -471,7 +470,6 @@ def batch_dtype(spec: FlcSpec):
     """
     if spec.alpha_bits + spec.cons_bits + spec.n <= 62 and 2 * spec.alpha_bits <= 62:
         import numpy as np
-
         return np.int64
     return object
 
@@ -497,7 +495,6 @@ def infer_batch(spec: FlcSpec, pairs: Sequence[ActivePair]) -> np.ndarray:
     DenominatorZero if any point of the block has a zero denominator.
     """
     import numpy as np
-
     ys = np.array(spec.singletons, dtype=pairs[0].deg_left.dtype)
     weigh = _weigher(spec, functools.partial(functools.reduce, np.minimum))
     num, den = fire(firing_plan(spec.n, spec.m), *pair_operands(pairs, spec.m), weigh, ys)

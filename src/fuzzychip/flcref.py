@@ -113,7 +113,6 @@ def pair_tables_real(spec: FlcSpec, rspec: RealFlcSpec) -> tuple[PairTable, ...]
     """Per-input real pair tables over the codes 0 .. 2^in_bits - 1 of spec,
     each code lifted as in infer_real's callers (x / 2^in_bits)."""
     import numpy as np
-
     in_scale = 1 << spec.in_bits
     return tuple(
         tabulate_pairs(
@@ -129,7 +128,6 @@ def infer_real_batch(rspec: RealFlcSpec, pairs: Sequence[ActivePair]) -> np.ndar
     """infer_real at every point of a block of gathered real pairs, by the
     same `fire` as the scalar path."""
     import numpy as np
-
     ys = np.array(rspec.singletons, dtype=np.float64)
     combine = np.minimum if rspec.and_method == MIN else np.multiply
     num, den = fire(firing_plan(rspec.n, rspec.m), *pair_operands(pairs, rspec.m),

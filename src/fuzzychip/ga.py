@@ -126,7 +126,6 @@ def _orbit() -> _Orbit:
     A slice of up to one period from a first-period position never runs
     off the end."""
     import numpy as np
-
     words = np.empty(1 << 17, dtype=np.uint16)
     words[0] = 1
     lo, hi = np.array(_NEXT_LO, np.uint16), np.array(_NEXT_HI, np.uint16)
@@ -147,7 +146,6 @@ def _hit_string(mr: int, mut_res: int) -> bytes:
     """Byte i from the end is b'1' iff orbit word i is below mr mod 2^mut_res:
     reversed, so that a slice read by int(..., 2) puts word i at bit i."""
     import numpy as np
-
     words = np.frombuffer(_orbit().words, dtype=np.uint16)
     hits = (words & ((1 << mut_res) - 1)) < mr
     return (hits[::-1].astype(np.uint8) + ord("0")).tobytes()

@@ -289,7 +289,6 @@ def brute_force_optimum(inst: TspInstance) -> tuple[int, tuple[int, ...]]:
 def held_karp_optimum(inst: TspInstance) -> tuple[int, tuple[int, ...]]:
     """Exact dynamic program over city subsets, O(2^n n^2); fine to n ~ 18."""
     import numpy as np
-
     n = inst.dimension
     dist = np.asarray(distance_matrix(inst), dtype=np.float64)
     size = 1 << (n - 1)  # subsets of cities 1..n-1
@@ -338,14 +337,12 @@ def rosenbrock(x1, x2):
 
 def rastrigin(x1, x2):
     import numpy as np
-
     two_pi = 2.0 * np.pi
     return 20.0 + x1**2 - 10.0 * np.cos(two_pi * x1) + x2**2 - 10.0 * np.cos(two_pi * x2)
 
 
 def step_surface(x1, x2):
     import numpy as np
-
     return np.floor(x1) + np.floor(x2)
 
 
@@ -375,7 +372,6 @@ class BenchmarkFitness:
         if genom_lngt != 16:
             raise ValueError("benchmark genomes are exactly 16 bits (2 x 8-bit)")
         import numpy as np
-
         fn, lo, hi = BENCHMARKS[name]
         self.name = name
         self.lo, self.hi = lo, hi

@@ -26,10 +26,8 @@ def test_export_is_its_home_object(name):
     assert name not in vars(fuzzychip)  # not cached in the package
 
 
-def test_version_and_dir():
-    assert fuzzychip.__version__ == "0.1.0"
+def test_dir_lists_every_export():
     assert set(fuzzychip.__all__) <= set(dir(fuzzychip))
-    assert dir(fuzzychip) == sorted(dir(fuzzychip))
 
 
 def test_unknown_name_raises_attribute_error():
