@@ -31,7 +31,7 @@ def offset_launch() -> None:
     )
     print(f"  first within 10 mm of the line at t = {first_settled:.2f} s")
     OUT.mkdir(exist_ok=True)
-    trace.write_csv(OUT / "straight_offset.csv")
+    (OUT / "straight_offset.csv").write_text(trace.to_csv_text(), encoding="utf-8")
     print(f"  trace written to {OUT / 'straight_offset.csv'}")
 
 
@@ -43,7 +43,7 @@ def s_course() -> None:
     print("\nS-shaped course (5 m legs, 10 m radius arcs):")
     print(f"  {len(trace.rows)} steps, max |e_d| = {worst:.2f} mm, "
           f"max |kappa| = {kappa_worst:.6f} 1/mm (limit {params.kappa_max})")
-    trace.write_csv(OUT / "s_course.csv")
+    (OUT / "s_course.csv").write_text(trace.to_csv_text(), encoding="utf-8")
     print(f"  trace written to {OUT / 's_course.csv'}")
 
 

@@ -39,11 +39,15 @@ EXIT_IO = 2
 
 
 class CliError(Exception):
-    """Carries the exit code; main() prints the message as one line."""
+    """Carries the exit code, also out of a worker process; main() prints
+    the message as one line."""
 
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):
+        return type(self), (self.code, str(self))
 
 
 def _setup_logging() -> None:
@@ -61,7 +65,7 @@ def _setup_logging() -> None:
 def _write_chunks(path: str, chunks) -> None:
     """Atomic write of an iterable of str chunks: a reader never observes a
     half-written result, and a write that fails (also inside the iterable)
-    leaves no temp file."""
+    leaves no temp file. An OSError exits 2."""
     tmp = path + ".tmp"
     size = 0
     try:
@@ -70,8 +74,10 @@ def _write_chunks(path: str, chunks) -> None:
                 fh.write(chunk)
                 size += len(chunk)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
     finally:
-        if os.path.exists(tmp):
+        if os.path.isfile(tmp):
             os.remove(tmp)
     log.info("wrote %s (%d bytes)", path, size)
 
@@ -273,8 +279,9 @@ def _fan_out(fn, calls: list[tuple], jobs: int) -> list:
     """[fn(*args) for args in calls], in up to `jobs` worker processes, never
     more than there are calls or usable CPUs.
 
-    fn and its arguments must be picklable. Results come back in call order,
-    and the parent writes them, so output bytes do not depend on scheduling.
+    fn and its arguments must be picklable. Each call writes its own result
+    files atomically and returns what the parent prints or gathers, in call
+    order, so output bytes do not depend on scheduling.
     """
     jobs = min(jobs, len(calls), _usable_cpus())
     if jobs <= 1:
@@ -292,8 +299,9 @@ def _fitness(cfg: ga.GaConfig, problem: str | problems.TspInstance):
     return problems.TspFitness(problem, cfg.genom_lngt, cfg.score_sz)
 
 
-def _ga_payload(cfg: ga.GaConfig, fit, index: int) -> tuple[str, str, str]:
-    """One GA run; returns (generations csv, result json, stdout line)."""
+def _ga_payload(cfg: ga.GaConfig, fit, index: int, out_dir: str) -> str:
+    """One GA run; writes generations_NNN.csv and result_NNN.json into
+    out_dir and returns the stdout line."""
     rows = ["generation,best_score,mean_score,best_genome"]
 
     def observe(gen: int, pop: ga.Population) -> None:
@@ -324,7 +332,9 @@ def _ga_payload(cfg: ga.GaConfig, fit, index: int) -> tuple[str, str, str]:
         doc["tour_length"] = problems.tour_length(fit.inst, tour)
         line = (f"run {index:03d}: length={doc['tour_length']} "
                 f"tour={'-'.join(str(c) for c in tour)} stop={result.stop_reason}")
-    return "\n".join(rows) + "\n", _json_text(doc), line
+    _write_text(os.path.join(out_dir, f"generations_{index:03d}.csv"), "\n".join(rows) + "\n")
+    _write_text(os.path.join(out_dir, f"result_{index:03d}.json"), _json_text(doc))
+    return line
 
 
 def cmd_ga(args) -> int:
@@ -349,11 +359,8 @@ def cmd_ga(args) -> int:
     _write_manifest(out_dir, "ga", args.argv, args.config,
                     [list(c.seeds) for c in cfgs], outputs)
 
-    payloads = _fan_out(_ga_payload, [(c, fit, i) for i, c in enumerate(cfgs)], args.jobs)
-    for i, (gen_csv, result_json, line) in enumerate(payloads):
-        _write_text(os.path.join(out_dir, f"generations_{i:03d}.csv"), gen_csv)
-        _write_text(os.path.join(out_dir, f"result_{i:03d}.json"), result_json)
-        print(line)
+    calls = [(c, fit, i, out_dir) for i, c in enumerate(cfgs)]
+    print("\n".join(_fan_out(_ga_payload, calls, args.jobs)))
     return EXIT_OK
 
 
@@ -362,54 +369,64 @@ def cmd_ga(args) -> int:
 # longest resampled path track accepts, in samples (the sweep's row cap);
 # interpolate_path and each nearest-sample search grow with it
 TRACK_MAX_SAMPLES = 1 << 20
+# largest --steps track accepts: about 2.4 times the 7M steps of 15 mm along
+# the longest path (2^20 samples of 100 mm), about 9 minutes at 33 us a step
+TRACK_MAX_STEPS = 1 << 24
 
 
-def _track_payload(waypoints, noise, seed, steps, spacing, start):
+def _track_payload(path, noise, seed, steps, start, out_path) -> dict:
+    """One seed's run: streams its trace to out_path and returns its
+    summary.json entry, folded from the rows as they pass."""
     from . import tracksim
     start_pose = tracksim.Pose(*start) if start else None
-    trace = tracksim.simulate(waypoints, tracksim.TrackerParams(), start=start_pose,
-                              noise=noise, seed=seed, steps=steps, spacing=spacing)
-    if not trace.rows:  # start pose already beside the final sample
-        return trace.to_csv_text(), {"seed": seed, "rows": 0}
-    last = trace.rows[-1]
-    summary = {
-        "seed": seed,
-        "rows": len(trace.rows),
-        "final_e_d_mm": round(last.e_d, 6),
-        "final_path_distance_mm": round(
-            tracksim.path_distance(trace.path, last.pose.x, last.pose.y), 6),
-        "max_abs_e_d_mm": round(max(abs(r.e_d) for r in trace.rows), 6),
-        "max_abs_kappa": round(max(abs(r.kappa) for r in trace.rows), 9),
-    }
-    return trace.to_csv_text(), summary
+    summary = {"seed": seed, "rows": 0}
+    last = None
+    max_e_d = max_kappa = 0.0
+
+    def fold(rows):
+        nonlocal last, max_e_d, max_kappa
+        for last in rows:
+            summary["rows"] += 1
+            max_e_d = max(max_e_d, abs(last.e_d))
+            max_kappa = max(max_kappa, abs(last.kappa))
+            yield last
+
+    rows = tracksim.trace_rows(path, tracksim.TrackerParams(), start_pose, noise, seed, steps)
+    _write_chunks(out_path, tracksim.csv_chunks(fold(rows)))
+    if last is not None:  # else the start pose is already beside the final sample
+        summary.update(
+            final_e_d_mm=round(last.e_d, 6),
+            final_path_distance_mm=round(
+                tracksim.path_distance(path, last.pose.x, last.pose.y), 6),
+            max_abs_e_d_mm=round(max_e_d, 6),
+            max_abs_kappa=round(max_kappa, 9))
+    return summary
 
 
 def cmd_track(args) -> int:
     from . import tracksim
     waypoints = _load(args.path, tracksim.load_waypoints)
-    if not 0 < args.spacing < math.inf or args.steps <= 0:
-        raise CliError(EXIT_INVALID, "--spacing must be finite and positive, --steps positive")
+    if not 0 < args.spacing < math.inf or not 0 < args.steps <= TRACK_MAX_STEPS:
+        raise CliError(EXIT_INVALID, "--spacing must be finite and positive, "
+                                     f"--steps 1 to {TRACK_MAX_STEPS}")
     length = sum(map(math.dist, waypoints, waypoints[1:]))
     if length / args.spacing > TRACK_MAX_SAMPLES:
         raise CliError(EXIT_INVALID, f"--spacing {args.spacing:g} resamples the path to "
                                      f"more than {TRACK_MAX_SAMPLES} samples")
+    try:
+        path = tracksim.interpolate_path(waypoints, args.spacing)
+    except ValueError as exc:  # fewer than two distinct waypoints
+        raise CliError(EXIT_INVALID, f"{args.path}: {exc}") from exc
 
     seeds = list(args.seeds) if args.seeds else [0]
     out_dir = _prepare_out_dir(args)
     outputs = [f"trace_{i:03d}.csv" for i in range(len(seeds))] + ["summary.json"]
     _write_manifest(out_dir, "track", args.argv, None, seeds, outputs)
 
-    calls = [(waypoints, args.noise, s, args.steps, args.spacing, args.start)
-             for s in seeds]
-    try:
-        payloads = _fan_out(_track_payload, calls, args.jobs)
-    except ValueError as exc:  # < 2 distinct waypoints, non-positive speed
-        raise CliError(EXIT_INVALID, str(exc)) from exc
-
-    summaries = []
-    for i, (csv_text, summary) in enumerate(payloads):
-        _write_text(os.path.join(out_dir, f"trace_{i:03d}.csv"), csv_text)
-        summaries.append(summary)
+    calls = [(path, args.noise, s, args.steps, args.start, os.path.join(out_dir, name))
+             for s, name in zip(seeds, outputs)]
+    summaries = _fan_out(_track_payload, calls, args.jobs)
+    for summary in summaries:
         dist = summary.get("final_path_distance_mm")
         print(f"seed {summary['seed']}: rows={summary['rows']} "
               f"final_path_distance={'n/a' if dist is None else f'{dist:.3f}mm'}")

@@ -15,19 +15,20 @@ Units: millimeters, seconds, radians; curvature in 1/mm.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import flc
-from .fixedq import DomainMap, quantize, quantize_code
+from .fixedq import DomainMap, quantize_code
 from .flc import MIN, STANDARD, FlcSpec, uniform_partition
 
 TRACE_HEADER = "t,x,y,theta,x_est,y_est,theta_est,e_d,e_theta,kappa"
-_ROW_FORMAT = ",".join(["%.6f"] * 10)
-# rows of (distance, heading) noise drawn per rng.normal call; memory stays
-# bounded whatever the step budget
+_ROW_FORMAT = ",".join(["%.6f"] * 10) + "\n"
+# rows of (distance, heading) noise drawn per rng.normal call, and trace rows
+# per CSV chunk; memory stays bounded whatever the step budget
 NOISE_BLOCK = 1024
 # largest |x| or |y| of a loaded waypoint or a CLI start pose, in mm: the
 # squared distances of the nearest-sample search stay far below overflow
@@ -206,7 +207,7 @@ def build_tracker_spec(params: TrackerParams) -> FlcSpec:
         for i in range(_MF_COUNT):
             u_d = i / (_MF_COUNT - 1) * 2.0 - 1.0
             s = min(max(params.g_d * u_d + params.g_theta * u_t, -1.0), 1.0)
-            singles[i + _MF_COUNT * j] = quantize(s, cons_map).value
+            singles[i + _MF_COUNT * j] = quantize_code(s, cons_map)
     return FlcSpec(
         in_bits=_IN_BITS,
         out_bits=_OUT_BITS,
@@ -289,29 +290,25 @@ class TraceLog:
     path: PathSamples
 
     def to_csv_text(self) -> str:
-        lines = [TRACE_HEADER]
-        for r in self.rows:
-            lines.append(_ROW_FORMAT % (
-                r.t, r.pose.x, r.pose.y, r.pose.theta,
-                r.pose_est.x, r.pose_est.y, r.pose_est.theta, r.e_d, r.e_theta, r.kappa))
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
+        return "".join(csv_chunks(self.rows))
 
 
-def simulate(
-    waypoints,
-    params: TrackerParams,
-    start: Pose | None = None,
-    noise: tuple[float, float] = (0.0, 0.0),
-    seed: int = 0,
-    steps: int = 20000,
-    spacing: float = 100.0,
-) -> TraceLog:
-    """Closed-loop run until the estimate's closest sample is the final one
-    or `steps` is exhausted.
+def csv_chunks(rows):
+    """Trace CSV text: the header, then one chunk per NOISE_BLOCK rows."""
+    yield TRACE_HEADER + "\n"
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, NOISE_BLOCK)):
+        yield "".join([_ROW_FORMAT % (
+            r.t, r.pose.x, r.pose.y, r.pose.theta,
+            r.pose_est.x, r.pose_est.y, r.pose_est.theta, r.e_d, r.e_theta, r.kappa)
+            for r in block])
+
+
+def trace_rows(path: PathSamples, params: TrackerParams, start: Pose | None = None,
+               noise: tuple[float, float] = (0.0, 0.0), seed: int = 0, steps: int = 20000):
+    """Closed-loop run on a resampled path, one TraceRow per control step,
+    until the estimate's closest sample is the final one or `steps` is
+    exhausted.
 
     noise = (sigma_d, sigma_theta): per-step distance error is drawn with
     standard deviation sigma_d * (v * dt), i.e. sigma_d is expressed per mm
@@ -320,7 +317,6 @@ def simulate(
     pose defaults to the first sample, aligned with the initial tangent.
     The noise is drawn in blocks of NOISE_BLOCK (d, theta) rows, the same
     draws in the same order as two scalar rng.normal calls per step."""
-    path = interpolate_path(waypoints, spacing)
     ctl = flc.compile(build_tracker_spec(params))
     maps = error_maps(params)
     rng = np.random.default_rng(seed)
@@ -332,14 +328,13 @@ def simulate(
         start = Pose(float(path.points[0, 0]), float(path.points[0, 1]), math.atan2(ty, tx))
     true = est = start
 
-    rows = []
     last = len(path) - 1
     for k in range(steps):
         idx = closest_point(path, est)
         if idx == last:
-            break
+            return
         kappa, (e_d, e_t) = spatial_window_command(path, idx, est, params, ctl, maps)
-        rows.append(TraceRow(k * params.dt, true, est, e_d, e_t, kappa))
+        yield TraceRow(k * params.dt, true, est, e_d, e_t, kappa)
         true = step_kinematics(true, params.v, kappa, params.dt)
         est = step_kinematics(est, params.v, kappa, params.dt)
         if k % NOISE_BLOCK == 0:
@@ -350,7 +345,14 @@ def simulate(
             est.y + eps_d * math.sin(est.theta),
             wrap_angle(est.theta + eps_t),
         )
-    return TraceLog(tuple(rows), path)
+
+
+def simulate(waypoints, params: TrackerParams, start: Pose | None = None,
+             noise: tuple[float, float] = (0.0, 0.0), seed: int = 0, steps: int = 20000,
+             spacing: float = 100.0) -> TraceLog:
+    """trace_rows on the waypoints resampled at `spacing`, kept as a TraceLog."""
+    path = interpolate_path(waypoints, spacing)
+    return TraceLog(tuple(trace_rows(path, params, start, noise, seed, steps)), path)
 
 
 # ---- canned geometries ----

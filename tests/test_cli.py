@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -889,6 +890,100 @@ def test_track_sample_cap_boundary(waypoint_file, tmp_path, monkeypatch, capsys)
     assert main(argv + [str(tmp_path / "b"), "--spacing", "99.9"]) == 1
     assert capsys.readouterr().err == (
         "error: --spacing 99.9 resamples the path to more than 30 samples\n")
+
+
+def test_track_steps_cap_boundary(waypoint_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "TRACK_MAX_STEPS", 3)
+    argv = ["track", "--path", waypoint_file, "--out"]
+    assert main(argv + [str(tmp_path / "a"), "--steps", "3"]) == 0
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "b"), "--steps", "4"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --spacing must be finite and positive, --steps 1 to 3\n")
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("text", ["", "5 5\n", "5 5\n5 5\n"])
+def test_track_rejects_degenerate_path_before_manifest(text, tmp_path, capsys):
+    path = tmp_path / "dot.txt"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["track", "--path", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: need at least two distinct waypoints\n"
+    assert not out.exists()
+
+
+# A fresh interpreter runs one track argv and prints its peak RSS in bytes.
+TRACK_RSS = r"""
+import resource, sys
+from fuzzychip.cli import main
+assert main(sys.argv[1:]) == 0
+unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit)
+"""
+
+
+def test_track_memory_flat_in_steps(tmp_path):
+    # starting 100 km off a 25 m line, every step of the budget is a trace
+    # row; keeping the rows cost about 1.1 KB per step (44 MB between these)
+    path = tmp_path / "line.txt"
+    save_waypoints(straight_waypoints(25000.0), path)
+    peaks = []
+    for steps in (1000, 40000):
+        argv = ["track", "--path", str(path), "--start", "12500,100000000,1.5708",
+                "--steps", str(steps), "--out", str(tmp_path / str(steps))]
+        proc = subprocess.run([sys.executable, "-c", TRACK_RSS, *argv],
+                              capture_output=True, text=True, check=True)
+        assert f"rows={steps} " in proc.stdout
+        peaks.append(int(proc.stdout.split()[-1]))
+    assert peaks[1] - peaks[0] < 8 * 2**20, peaks
+
+
+# ---- write failures ----
+
+
+def test_cli_error_survives_pickling():
+    exc = pickle.loads(pickle.dumps(CliError(2, "x")))
+    assert (type(exc), exc.code, str(exc)) == (CliError, 2, "x")
+
+
+def _assert_write_error(rc, out, blocked, capsys):
+    # `blocked` is a directory, so the rename onto it fails
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / blocked}: ") and err.count("\n") == 1
+    assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("blocked", ["manifest.json", "sweep.csv"])
+def test_sweep_write_failure_exits_two(blocked, small_spec_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    rc = main(["flc", "sweep", "--spec", small_spec_file, "--out", str(out)])
+    _assert_write_error(rc, out, blocked, capsys)
+
+
+@pytest.mark.parametrize("blocked", ["generations_000.csv", "result_000.json"])
+def test_ga_write_failure_exits_two(blocked, ga_config_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    rc = main(["ga", "--config", ga_config_file, "--fn", "sphere", "--max-gen", "3",
+               "--out", str(out), "--jobs", "1"])
+    _assert_write_error(rc, out, blocked, capsys)
+
+
+@pytest.mark.parametrize("blocked, args", [
+    ("trace_000.csv", ["--jobs", "1"]),
+    ("summary.json", ["--jobs", "1"]),
+    ("trace_001.csv", ["--seeds", "1,2", "--jobs", "2"]),  # raised in a worker
+])
+def test_track_write_failure_exits_two(blocked, args, waypoint_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    rc = main(["track", "--path", waypoint_file, "--steps", "50", *args, "--out", str(out)])
+    _assert_write_error(rc, out, blocked, capsys)
 
 
 # ---- rerun and parallel determinism ----

@@ -487,7 +487,7 @@ def test_apply_elitism_keeps_top_scores_ties_by_index():
     assert new.scores == (9, 9, 3, 4)
 
 
-def test_best_index_found_once_per_generation(monkeypatch):
+def test_best_index_found_once_per_generation(monkeypatch, tmp_path):
     # run's stopping check and the CLI's generation log both ask each
     # population for its best index; its scores are scanned once
     from fuzzychip import cli
@@ -501,7 +501,8 @@ def test_best_index_found_once_per_generation(monkeypatch):
 
     monkeypatch.setattr(ga, "max", counting_max, raising=False)
     cfg = GaConfig(max_gen=5)
-    rows = cli._ga_payload(cfg, problems.BenchmarkFitness("sphere", 16, 16), 0)[0]
+    cli._ga_payload(cfg, problems.BenchmarkFitness("sphere", 16, 16), 0, str(tmp_path))
+    rows = (tmp_path / "generations_000.csv").read_text()
     assert rows.count("\n") == 7  # header and generations 0..5
     assert len(scans) == 6
 

@@ -488,13 +488,6 @@ def test_trace_csv_shape():
     assert lines[1].startswith("0.000000,0.000000,0.000000,")
 
 
-def test_trace_write_csv(tmp_path):
-    trace = simulate(straight_waypoints(2000.0), TrackerParams(), steps=3)
-    out = tmp_path / "trace.csv"
-    trace.write_csv(out)
-    assert out.read_text() == trace.to_csv_text()
-
-
 # ---- canned geometries and waypoint files ----
 
 
