@@ -6,6 +6,8 @@ Latency is stages x clock period (pipeline fill); throughput is set by
 cycles per sample: the standard schedule retires one active rule per clock
 (2^n cycles), the odd-even schedule two (2^(n-1))."""
 
+from dataclasses import replace
+
 from fuzzychip import flc, tracksim
 
 
@@ -29,9 +31,7 @@ def main() -> None:
         parts = (flc.uniform_partition(6, 2),) * n
         spec = flc.FlcSpec(6, 8, 4, 8, parts, tuple([0] * (2 ** n)))
         std = flc.estimate_timing(spec).cycles_per_sample
-        oe = flc.estimate_timing(
-            flc.with_mode(spec, flc.ODD_EVEN, spec.stages, spec.clock_ns)
-        ).cycles_per_sample
+        oe = flc.estimate_timing(replace(spec, mode=flc.ODD_EVEN)).cycles_per_sample
         print(f"  {n}   {std:8d}  {oe:8d}")
 
 

@@ -138,6 +138,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p, 0) for p in text.split(","))
 
 
+def _seed_list(text: str) -> tuple[int, ...]:
+    seeds = _int_list(text)
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError("expected non-negative seeds")
+    return seeds
+
+
 def _noise_pair(text: str) -> tuple[float, float]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 2 or not all(0 <= p < math.inf for p in parts):
@@ -443,6 +450,8 @@ def _manifest_argv(path: str) -> list[str]:
     argv = doc.get("argv") if isinstance(doc, dict) else None
     if not isinstance(argv, list) or not argv:
         raise ValueError("no argv recorded")
+    if argv[0] == "rerun":  # a manifest that replays a manifest may replay itself
+        raise ValueError("a manifest cannot replay rerun")
     return [str(a) for a in argv]
 
 
@@ -508,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="closed-loop path tracking simulation")
     p.add_argument("--path", required=True, help="waypoint file, 'x y' per line")
     p.add_argument("--noise", type=_noise_pair, default=(0.0, 0.0))
-    p.add_argument("--seeds", type=_int_list, help="one run per seed")
+    p.add_argument("--seeds", type=_seed_list, help="one run per seed")
     p.add_argument("--steps", type=int, default=20000)
     p.add_argument("--spacing", type=float, default=100.0)
     p.add_argument("--start", type=_pose_triple, default=None,

@@ -12,6 +12,15 @@ from dataclasses import dataclass
 MAX_BITS = 32
 
 
+def json_ints(values) -> tuple[int, ...]:
+    """`values` as a tuple of JSON integers; a bool or a float is a TypeError."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise TypeError(f"expected an integer, got {bad!r}")
+    return values
+
+
 def round_half_away(x: float) -> int:
     """Round to the nearest integer, ties away from zero (not banker's)."""
     return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)

@@ -9,7 +9,7 @@ processing schedules.
 
 Every inference path sums the 2^n active rules through one function,
 `fire`, over one `firing_plan`. The scalar path (`infer`, the tracker) runs on
-`compile(spec)`, which memoises each input's `active_pair` per code on first
+`Controller(spec)`, which memoises each input's `active_pair` per code on first
 use. Batched inference (`pair_tables`, `infer_batch`) lowers a spec to one
 `PairTable` per input -- `left`, `deg_left` and `deg_right` for every code,
 each filled by one scalar `active_pair` call -- and fires a block of points
@@ -30,10 +30,10 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .fixedq import FixedWord, round_half_away
+from .fixedq import FixedWord, json_ints, round_half_away
 
 if TYPE_CHECKING:  # numpy loads in the batched functions that use it
     import numpy as np
@@ -402,12 +402,9 @@ class Controller:
         return _defuzzify(spec, *fire(self._plan, base, degs, self._weigh, spec.singletons))
 
 
-compile = Controller  # flc.compile(spec): lower a spec once for repeated inference
-
-
 def infer(spec: FlcSpec, inputs: Sequence[int]) -> FixedWord:
     """One inference over the active rules only (hardware datapath model)."""
-    return FixedWord(compile(spec)(inputs), spec.out_bits)
+    return FixedWord(Controller(spec)(inputs), spec.out_bits)
 
 
 def infer_full_rulebase(spec: FlcSpec, inputs: Sequence[int]) -> FixedWord:
@@ -581,23 +578,25 @@ def spec_to_dict(spec: FlcSpec) -> dict:
 
 def spec_from_dict(data: dict) -> FlcSpec:
     try:
+        *widths, stages = json_ints((data["in_bits"], data["out_bits"], data["alpha_bits"],
+                                     data["cons_bits"], data.get("stages", 11)))
+        clock_ns = data.get("clock_ns", 10.0)
+        if type(clock_ns) not in (int, float):
+            raise TypeError(f"clock_ns must be a number, got {clock_ns!r}")
         partitions = tuple(
-            tuple(MembershipFunction(*map(int, mf)) for mf in part)
+            tuple(MembershipFunction(*json_ints(mf)) for mf in part)
             for part in data["partitions"]
         )
         return FlcSpec(
-            in_bits=int(data["in_bits"]),
-            out_bits=int(data["out_bits"]),
-            alpha_bits=int(data["alpha_bits"]),
-            cons_bits=int(data["cons_bits"]),
+            *widths,
             partitions=partitions,
-            singletons=tuple(int(y) for y in data["singletons"]),
+            singletons=json_ints(data["singletons"]),
             and_method=str(data.get("and_method", MIN)),
             mode=str(data.get("mode", STANDARD)),
-            stages=int(data.get("stages", 11)),
-            clock_ns=float(data.get("clock_ns", 10.0)),
+            stages=stages,
+            clock_ns=float(clock_ns),
         )
-    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: int(1e999)
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise ValueError(f"malformed spec document: {exc}") from exc
 
 
@@ -610,8 +609,3 @@ def dump_spec(spec: FlcSpec, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def with_mode(spec: FlcSpec, mode: str, stages: int, clock_ns: float) -> FlcSpec:
-    """Same rulebase under a different processing schedule."""
-    return replace(spec, mode=mode, stages=stages, clock_ns=clock_ns)

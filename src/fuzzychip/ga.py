@@ -27,6 +27,8 @@ from functools import cache, lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
+from .fixedq import json_ints
+
 LFSR_TAPS = (16, 15, 13, 4)  # maximal-length polynomial, period 2^16 - 1
 
 SINGLE_POINT = "single_point"
@@ -513,6 +515,11 @@ def config_to_dict(cfg: GaConfig) -> dict:
     }
 
 
+# the GaConfig fields a config document gives as JSON integers
+_CONFIG_INTS = ("genom_lngt", "score_sz", "pop_sz", "scaling_factor_res", "elite", "mr",
+                "mut_res", "max_gen")
+
+
 def config_from_dict(data: dict) -> GaConfig:
     def unfold(value, fallback):
         if value is None:
@@ -524,22 +531,16 @@ def config_from_dict(data: dict) -> GaConfig:
     if not isinstance(data, dict):
         raise ValueError("GA config must be a JSON object")
     try:
+        ints = json_ints(data.get(k, getattr(GaConfig, k)) for k in _CONFIG_INTS)
         limit = data.get("fitness_limit")
         return GaConfig(
-            genom_lngt=int(data.get("genom_lngt", 16)),
-            score_sz=int(data.get("score_sz", 16)),
-            pop_sz=int(data.get("pop_sz", 32)),
-            scaling_factor_res=int(data.get("scaling_factor_res", 4)),
-            elite=int(data.get("elite", 2)),
-            mr=int(data.get("mr", 80)),
-            mut_res=int(data.get("mut_res", 8)),
+            **dict(zip(_CONFIG_INTS, ints)),
             cross_method=unfold(data.get("cross_method"), SINGLE_POINT),
             mut_method=unfold(data.get("mut_method"), SINGLE_BIT),
-            max_gen=int(data.get("max_gen", 100)),
-            fitness_limit=None if limit is None else int(limit),
-            seeds=tuple(int(s) for s in data.get("seeds", GaConfig.seeds)),
+            fitness_limit=None if limit is None else json_ints((limit,))[0],
+            seeds=json_ints(data.get("seeds", GaConfig.seeds)),
         )
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(1e999)
+    except TypeError as exc:
         raise ValueError(f"malformed GA config document: {exc}") from exc
 
 

@@ -317,7 +317,7 @@ def trace_rows(path: PathSamples, params: TrackerParams, start: Pose | None = No
     pose defaults to the first sample, aligned with the initial tangent.
     The noise is drawn in blocks of NOISE_BLOCK (d, theta) rows, the same
     draws in the same order as two scalar rng.normal calls per step."""
-    ctl = flc.compile(build_tracker_spec(params))
+    ctl = flc.Controller(build_tracker_spec(params))
     maps = error_maps(params)
     rng = np.random.default_rng(seed)
     sigma_d, sigma_theta = noise

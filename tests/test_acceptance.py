@@ -107,7 +107,7 @@ def test_acceptance_3_timing_reproduction():
         part = (flc.uniform_partition(6, 2),) * n
         spec = flc.FlcSpec(6, 8, 4, 8, part, tuple([0] * (2**n)))
         std = flc.estimate_timing(spec).cycles_per_sample
-        oe_var = flc.with_mode(spec, flc.ODD_EVEN, spec.stages, spec.clock_ns)
+        oe_var = replace(spec, mode=flc.ODD_EVEN)
         oe_n = flc.estimate_timing(oe_var).cycles_per_sample
         ok_ratio = ok_ratio and std == 2 * oe_n == 2**n
 

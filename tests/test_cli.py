@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import random
@@ -591,7 +592,10 @@ def test_ga_config_file_errors(tmp_path):
         ["ga", "--config", str(malformed), "--fn", "sphere", "--out", str(tmp_path / "o")]
     )
     assert rc == 2
-    for text in ("[]", "null", '{"pop_sz": 1e999}'):  # JSON, not a config
+    for text in ("[]", "null", '{"pop_sz": 1e999}',  # JSON, not a config
+                 # non-integers were once truncated: 32.5 ran as 32
+                 '{"pop_sz": 32.5}', '{"max_gen": true}', '{"fitness_limit": 5.5}',
+                 '{"seeds": [1.9, "16", true, 7]}', '{"seeds": [1, 2, 3, "16"]}'):
         malformed.write_text(text)
         rc = main(
             ["ga", "--config", str(malformed), "--fn", "sphere",
@@ -770,7 +774,7 @@ def test_ga_rejects_wide_score(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value, expect", [
     ("stages", 10**400, "outside 1..65535"),  # once an OverflowError traceback
-    ("clock_ns", "inf", "clock_ns=inf must be positive and finite"),  # once latency_ns=inf
+    ("clock_ns", math.inf, "clock_ns=inf must be positive and finite"),  # once latency_ns=inf
     ("clock_ns", 5e-324, "sample_rate_hz=inf"),  # once printed sample_rate_hz=inf
 ], ids=["stages-1e400", "clock_ns-inf", "clock_ns-5e-324"])
 def test_timing_rejects_unbounded_fields(key, value, expect, core_spec_file, tmp_path, capsys):
@@ -858,7 +862,8 @@ def test_track_rejects_bad_numbers(waypoint_file, tmp_path):
 
 # nan and inf spacings once ran on a two-point path and exited 0; nan noise
 # or start poses died in quantize, inf noise printed numpy warnings, and a
-# negative sigma surfaced numpy's "scale < 0"
+# negative sigma surfaced numpy's "scale < 0", and a negative seed numpy's
+# "expected non-negative integer" after the manifest was written
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args, flag", [
     (["--spacing", "nan"], "--spacing"),
@@ -870,6 +875,7 @@ def test_track_rejects_bad_numbers(waypoint_file, tmp_path):
     (["--start", "nan,0,0"], "--start"),
     (["--start", "0,0,inf"], "--start"),
     (["--start", "1e300,0,0"], "--start"),  # once summary.json held Infinity
+    (["--seeds", "3,-1"], "--seeds"),
 ])
 def test_track_rejects_non_finite_inputs(args, flag, waypoint_file, tmp_path, capsys):
     out = tmp_path / "o"
@@ -1004,12 +1010,20 @@ def test_rerun_missing_manifest(tmp_path):
     assert main(["rerun", str(tmp_path / "nope.json")]) == 2
 
 
-def test_rerun_rejects_manifest_without_argv(tmp_path):
+def test_rerun_rejects_manifest_without_argv(tmp_path, capsys):
     doc = tmp_path / "manifest.json"
     doc.write_text(json.dumps({"outputs": []}))
     assert main(["rerun", str(doc)]) == 2
     doc.write_text(json.dumps(["ga", "--fn", "sphere"]))  # not a manifest object
     assert main(["rerun", str(doc)]) == 2
+    capsys.readouterr()
+    # a manifest that replays a rerun once recursed until RecursionError
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"argv": ["rerun", str(doc)]}))
+    for target in (doc, other):  # itself, then a two-manifest cycle
+        doc.write_text(json.dumps({"argv": ["rerun", str(target)]}))
+        assert main(["rerun", str(doc)]) == 2
+        assert capsys.readouterr().err == f"error: {doc}: a manifest cannot replay rerun\n"
 
 
 def test_rerun_old_tsp_manifest_is_a_usage_error(tsp_config_file, burma_file, tmp_path, capsys):

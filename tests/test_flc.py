@@ -8,13 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_inputs, random_knot_spec, random_valid_spec
-from fuzzychip.flc import compile as compile_spec
 from fuzzychip.flc import (
     MIN,
     ODD_EVEN,
     PROD,
     STANDARD,
     ActivePair,
+    Controller,
     DenominatorZero,
     FlcSpec,
     MembershipFunction,
@@ -36,7 +36,6 @@ from fuzzychip.flc import (
     spec_to_dict,
     uniform_partition,
     validate_spec,
-    with_mode,
 )
 from fuzzychip.flcref import infer_real, infer_real_batch, lift, pair_tables_real
 from test_flcref import infer_real_full_rulebase
@@ -490,7 +489,7 @@ def test_compiled_controller_equals_full_rulebase(rnd, n, and_method, alpha_bits
     # denominators; every row runs twice, so the second pass reads the memo
     spec = random_knot_spec(rnd, n, rnd.randint(2, 7), alpha_bits, and_method, cons_bits)
     assume(validate_spec(spec).ok)
-    ctl = compile_spec(spec)
+    ctl = Controller(spec)
     top = (1 << spec.in_bits) - 1
     rows = [tuple(rnd.choice((0, top, rnd.randint(0, top))) for _ in range(n))
             for _ in range(24)]
@@ -548,7 +547,7 @@ def test_timing_halving_ratio_across_widths():
             mode=STANDARD,
         )
         std = estimate_timing(spec)
-        odd = estimate_timing(with_mode(spec, ODD_EVEN, spec.stages, spec.clock_ns))
+        odd = estimate_timing(replace(spec, mode=ODD_EVEN))
         assert std.cycles_per_sample == 2**n
         assert std.cycles_per_sample == 2 * odd.cycles_per_sample
         assert odd.sample_rate_hz == 2 * std.sample_rate_hz
@@ -574,12 +573,13 @@ def test_spec_from_dict_rejects_malformed():
         spec_from_dict({"in_bits": 12})
     with pytest.raises(ValueError, match="malformed spec"):
         spec_from_dict({"partitions": [[[0, 0, 1]]], "singletons": []})
-
-
-def test_with_mode_changes_only_schedule_fields():
-    spec = default_core_spec()
-    flipped = with_mode(spec, ODD_EVEN, 13, 5.0)
-    assert flipped.mode == ODD_EVEN
-    assert (flipped.stages, flipped.clock_ns) == (13, 5.0)
-    assert flipped.partitions == spec.partitions
-    assert flipped.singletons == spec.singletons
+    # integer fields are JSON integers: a float or a bool was once truncated
+    doc = spec_to_dict(default_core_spec())
+    parts = json.loads(json.dumps(doc["partitions"]))
+    parts[0][1][1] = 683.7  # b of [0, 683, 683, 1365]
+    for edit in ({"alpha_bits": 7.9}, {"stages": True}, {"in_bits": "12"},
+                 {"singletons": doc["singletons"][:-1] + [1.0]}, {"partitions": parts},
+                 {"clock_ns": True}, {"clock_ns": "10"}, {"clock_ns": 10**400}):
+        with pytest.raises(ValueError, match="malformed spec"):
+            spec_from_dict({**doc, **edit})
+    assert spec_from_dict({**doc, "clock_ns": 10}) == default_core_spec(clock_ns=10.0)

@@ -1,33 +1,33 @@
-"""The package's exports load lazily (PEP 562 module __getattr__): each name
-resolves to its home module's object on every lookup and is never stored in
-the package, so a binding the benchmark's tracer wraps and then restores is
-seen restored through the package too."""
+"""Each public object has one import path, its home submodule: the package
+itself holds only `__version__` and the submodules already imported, so
+`from fuzzychip import X` names a submodule or `__version__`."""
 
 import importlib
-import importlib.util
-from pathlib import Path
+import types
 
 import pytest
 
 import fuzzychip
-from fuzzychip import flc
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+# public name -> the submodule that defines it
+HOME_MODULES = {
+    "fixedq": ("DomainMap", "FixedWord", "quantize"),
+    "flc": ("FlcSpec", "MembershipFunction", "TimingReport", "default_core_spec",
+            "estimate_timing", "infer", "infer_full_rulebase", "load_spec", "validate_spec"),
+    "flcref": ("infer_real", "lift", "quantization_bound"),
+    "ga": ("GaConfig", "GaResult", "Lfsr16", "Population", "run"),
+    "problems": ("BenchmarkFitness", "TspFitness", "TspInstance", "load_builtin",
+                 "load_tsplib", "parse_tsplib"),
+    "tracksim": ("Pose", "TraceLog", "TrackerParams", "simulate"),
+}
+HOME_OF = {name: module for module, names in HOME_MODULES.items() for name in names}
 
-EXPORTS = [name for name in fuzzychip.__all__ if name != "__version__"]
 
-
-@pytest.mark.parametrize("name", EXPORTS)
+@pytest.mark.parametrize("name", sorted(HOME_OF))
 def test_export_is_its_home_object(name):
-    value = getattr(fuzzychip, name)
-    home = importlib.import_module(f"fuzzychip.{fuzzychip._HOMES[name]}")
-    assert value is getattr(home, name)
-    assert name in dir(fuzzychip)
-    assert name not in vars(fuzzychip)  # not cached in the package
-
-
-def test_dir_lists_every_export():
-    assert set(fuzzychip.__all__) <= set(dir(fuzzychip))
+    home = importlib.import_module(f"fuzzychip.{HOME_OF[name]}")
+    assert getattr(home, name).__module__ == home.__name__
+    assert not hasattr(fuzzychip, name)  # no second path through the package
 
 
 def test_unknown_name_raises_attribute_error():
@@ -37,27 +37,9 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_star_import():
+    importlib.import_module("fuzzychip.flc")
     namespace = {}
     exec("from fuzzychip import *", namespace)
-    assert {name for name in namespace if name != "__builtins__"} == set(fuzzychip.__all__)
-    assert namespace["infer"] is flc.infer
-
-
-def test_submodule_attribute_imports_it():
-    assert fuzzychip.tracksim is importlib.import_module("fuzzychip.tracksim")
-
-
-def test_tracer_round_trip_leaves_no_wrapper():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    original = flc.infer
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        wrapped = fuzzychip.infer  # fetched while tracing
-        assert wrapped is flc.infer and wrapped.__wrapped__ is original
-    finally:
-        tracer.uninstall()
-    assert fuzzychip.infer is flc.infer is original
-    assert "infer" not in vars(fuzzychip)
+    del namespace["__builtins__"]
+    assert "flc" in namespace
+    assert all(isinstance(value, types.ModuleType) for value in namespace.values())

@@ -37,3 +37,17 @@ def test_traced_qualname_resolves(layer, qualname):
 def test_skipped_sites_exist():
     for module, attr in _SPANS.SKIP_SITES:
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_tracer_round_trip_leaves_no_wrapper():
+    from fuzzychip import cli, flc, flcref
+
+    original, bound = flc.infer, flcref.quantization_bound
+    tracer = _SPANS.Tracer()
+    tracer.install()
+    try:
+        assert flc.infer.__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    assert flc.infer is original
+    assert cli.quantization_bound is bound  # a binding imported by name

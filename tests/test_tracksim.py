@@ -125,7 +125,7 @@ def _east_path():
 
 def _window_command(path, pose, params, spec):
     start = closest_point(path, pose)
-    ctl = flc.compile(spec)
+    ctl = flc.Controller(spec)
     kappa, _ = spatial_window_command(path, start, pose, params, ctl, error_maps(params))
     return kappa
 
@@ -226,7 +226,7 @@ def test_window_command_matches_manual_mean():
         out = infer(spec, (quantize(e_d, d_map).value, quantize(e_t, t_map).value))
         total += code_to_curvature(out.value, params.kappa_max)
     expect = max(min(total / len(idxs), params.kappa_max), -params.kappa_max)
-    got, got_errors = spatial_window_command(path, start, pose, params, flc.compile(spec),
+    got, got_errors = spatial_window_command(path, start, pose, params, flc.Controller(spec),
                                              (d_map, t_map))
     assert got == pytest.approx(expect)
     assert got_errors == tracking_errors(path, start, pose)
@@ -361,7 +361,7 @@ def _reference_rows(waypoints, params, start=None, noise=(0.0, 0.0), seed=0,
     validated FixedWord per controller input and two scalar rng.normal
     calls per step."""
     path = interpolate_path(waypoints, spacing)
-    ctl = flc.compile(build_tracker_spec(params))
+    ctl = flc.Controller(build_tracker_spec(params))
     d_map, t_map = error_maps(params)
     rng = np.random.default_rng(seed)
     sigma_d, sigma_theta = noise
