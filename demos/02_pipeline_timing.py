@@ -21,8 +21,7 @@ def show(name: str, spec: flc.FlcSpec) -> None:
 def main() -> None:
     base = flc.default_core_spec()
     show("4-input baseline", base)
-    show("4-input odd-even", flc.default_core_spec(
-        mode=flc.ODD_EVEN, stages=13, clock_ns=5.0))
+    show("4-input odd-even", replace(base, mode=flc.ODD_EVEN, stages=13, clock_ns=5.0))
     show("2-input steering SoC", tracksim.build_tracker_spec(tracksim.TrackerParams()))
 
     print("\ncycles per sample, standard vs odd-even:")

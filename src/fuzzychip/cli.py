@@ -146,9 +146,12 @@ def _seed_list(text: str) -> tuple[int, ...]:
 
 
 def _noise_pair(text: str) -> tuple[float, float]:
+    # sigma_d 1 is an error as large as the distance travelled, sigma_theta
+    # pi half a turn; far larger ones overflow the estimated pose
     parts = [float(p) for p in text.split(",")]
-    if len(parts) != 2 or not all(0 <= p < math.inf for p in parts):
-        raise argparse.ArgumentTypeError("expected finite, non-negative sigma_d,sigma_theta")
+    if len(parts) != 2 or not (0 <= parts[0] <= 1 and 0 <= parts[1] <= math.pi):
+        raise argparse.ArgumentTypeError("expected sigma_d,sigma_theta with sigma_d in 0..1 "
+                                         "and sigma_theta in 0..pi")
     return parts[0], parts[1]
 
 

@@ -525,37 +525,25 @@ def estimate_timing(spec: FlcSpec) -> TimingReport:
 # ---- factories and serialization ----
 
 
-def default_core_spec(
-    singletons: Sequence[int] | None = None,
-    and_method: str = MIN,
-    mode: str = STANDARD,
-    stages: int = 11,
-    clock_ns: float = 10.0,
-) -> FlcSpec:
-    """The shipped 4-input core: 12-bit I/O, 7 MFs per input, 2401 rules.
+def default_core_spec() -> FlcSpec:
+    """The shipped 4-input core: 12-bit I/O, 7 MFs per input, 2401 rules,
+    MIN, standard mode, 11 stages at 10 ns.
 
-    Default singletons form a smooth monotone surface (mean MF index scaled
-    over the consequent universe); pass an explicit table for real rulebases.
+    The singletons form a smooth monotone surface (mean MF index scaled
+    over the consequent universe); dataclasses.replace gives variants.
     """
     n, m = 4, 7
-    parts = tuple(uniform_partition(12, m) for _ in range(n))
-    if singletons is None:
-        top = (1 << 8) - 1
-        singletons = tuple(
-            round_half_away(top * sum(idxs) / (n * (m - 1)))
-            for idxs in itertools.product(range(m), repeat=n)
-        )
+    top = (1 << 8) - 1
     return FlcSpec(
         in_bits=12,
         out_bits=12,
         alpha_bits=8,
         cons_bits=8,
-        partitions=parts,
-        singletons=tuple(singletons),
-        and_method=and_method,
-        mode=mode,
-        stages=stages,
-        clock_ns=clock_ns,
+        partitions=tuple(uniform_partition(12, m) for _ in range(n)),
+        singletons=tuple(
+            round_half_away(top * sum(idxs) / (n * (m - 1)))
+            for idxs in itertools.product(range(m), repeat=n)
+        ),
     )
 
 

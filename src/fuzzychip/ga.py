@@ -20,6 +20,7 @@ unsigned ints of score_sz bits.
 from __future__ import annotations
 
 import json
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -113,7 +114,6 @@ LFSR_PERIOD = (1 << 16) - 1  # words per cycle of every stream
 
 class _Orbit(NamedTuple):
     words: array  # 'H': the stream from state 1, two periods and two words long
-    le_bytes: bytes  # the same words, little-endian, for multi-word values
     index: array  # 'H': state -> its position in the first period
 
 
@@ -139,8 +139,7 @@ def _orbit() -> _Orbit:
         n *= 2
     index = np.zeros(1 << 16, dtype=np.uint16)
     index[words[:LFSR_PERIOD]] = np.arange(LFSR_PERIOD, dtype=np.uint16)
-    return _Orbit(array("H", words.tobytes()), words.astype("<u2").tobytes(),
-                  array("H", index.tobytes()))
+    return _Orbit(array("H", words.tobytes()), array("H", index.tobytes()))
 
 
 @lru_cache(maxsize=4)
@@ -163,10 +162,7 @@ class Lfsr16:
         self.state = seed
 
     def next_word(self) -> int:
-        word = self.state
-        if not 0 < word < 0x10000:
-            _reject_state(word)
-        self.state = _NEXT_LO[word & 0xFF] ^ _NEXT_HI[word >> 8]
+        self.state, word = lfsr_next(self.state)
         return word
 
     def _take(self, count: int) -> tuple[_Orbit, int]:
@@ -175,8 +171,8 @@ class Lfsr16:
         state = self.state
         if not 0 < state < 0x10000:
             _reject_state(state)
-        if count > LFSR_PERIOD:
-            raise ValueError(f"one orbit read covers at most {LFSR_PERIOD} words, got {count}")
+        if not 0 <= count <= LFSR_PERIOD:
+            raise ValueError(f"one orbit read covers 0..{LFSR_PERIOD} words, got {count}")
         orbit = _orbit()
         pos = orbit.index[state]
         self.state = orbit.words[pos + count]
@@ -184,28 +180,22 @@ class Lfsr16:
 
     def next_words(self, count: int) -> list[int]:
         """The next `count` words, as `count` next_word calls would give:
-        one orbit slice per period."""
-        words = []
-        while True:
-            take = min(max(count, 0), LFSR_PERIOD)
-            orbit, pos = self._take(take)
-            words += orbit.words[pos:pos + take].tolist()
-            count -= take
-            if count <= 0:
-                return words
+        one orbit slice, 0 <= count <= LFSR_PERIOD."""
+        orbit, pos = self._take(count)
+        return orbit.words[pos:pos + count].tolist()
 
 
 def _draw_bits(rng: Lfsr16, bits: int) -> int:
     """A bits-wide value from the next ceil(bits / 16) words, first word
-    lowest: one little-endian read of the orbit."""
+    lowest: one read of the orbit, in its native byte order."""
     count = (bits + 15) // 16
     orbit, pos = rng._take(count)
-    value = int.from_bytes(orbit.le_bytes[2 * pos:2 * (pos + count)], "little")
+    value = int.from_bytes(orbit.words[pos:pos + count].tobytes(), sys.byteorder)
     return value & ((1 << bits) - 1)
 
 
 def _flip_mask(rng: Lfsr16, bits: int, mr: int, mut_res: int) -> int:
-    """The bits mutate's bit_flip loop would flip with the next `bits` words:
+    """The bits a gated bit_flip mutation flips with the next `bits` words:
     bit b set iff (word b mod 2^mut_res) < mr. One read of _hit_string."""
     hits = _hit_string(mr, mut_res)
     end = len(hits) - rng._take(bits)[1]
@@ -330,9 +320,12 @@ def roulette_select(pop: Population, r: int, res: int) -> int:
 def _roulette_picks(scores: Sequence[int], words: Sequence[int], res: int) -> list[int]:
     """roulette_select(pop, word mod 2^res, res) for each word, from one
     cumulative wheel: the smallest index whose running sum strictly exceeds
-    T is bisect_right(wheel, T). The scores must not all be zero."""
+    T is bisect_right(wheel, T). When every score is zero there is no wheel:
+    each word picks index word mod len(scores) instead."""
     wheel = list(accumulate(scores))
     total, mask = wheel[-1], (1 << res) - 1
+    if total == 0:
+        return [word % len(scores) for word in words]
     return [bisect_right(wheel, ((word & mask) * total) >> res) for word in words]
 
 
@@ -363,18 +356,15 @@ def mutate(g: int, bits: int, method: str, mr: int, mut_res: int, rng: Lfsr16) -
 
     single_bit then flips one rng-chosen bit; bit_flip re-tests every bit
     position with a fresh draw (so a gated genome may still come back
-    unchanged). Draw budget when gated: 1 word or `bits` words."""
+    unchanged), read as one orbit slice (_flip_mask). Draw budget when
+    gated: 1 word or `bits` words."""
     gate = rng.next_word() & ((1 << mut_res) - 1)
     if gate >= mr:
         return g
     if method == SINGLE_BIT:
         return g ^ (1 << (rng.next_word() % bits))
     if method == BIT_FLIP:
-        res_mask = (1 << mut_res) - 1
-        for b, word in enumerate(rng.next_words(bits)):
-            if (word & res_mask) < mr:
-                g ^= 1 << b
-        return g
+        return g ^ _flip_mask(rng, bits, mr, mut_res)
     raise ValueError(f"unknown mut_method {method!r}")
 
 
@@ -413,9 +403,9 @@ def step_generation(
 
     rngs are the (selection, crossover, mutation) streams. Selection consumes
     exactly one word per parent whether or not the all-zero-fitness fallback
-    (uniform pick, index = word mod pop_sz) is active. With an odd parent
-    count the final parent skips crossover and is mutated as-is. A gated
-    bit_flip child takes mutate's flips from one orbit read (_flip_mask).
+    of _roulette_picks (uniform pick, index = word mod pop_sz) is active.
+    With an odd parent count the final parent skips crossover and is mutated
+    as-is. Each child goes through mutate once.
 
     fitness_fn must be pure: a child equal to a genome of pop, or to an
     earlier child of this generation, takes that genome's known score
@@ -424,11 +414,7 @@ def step_generation(
     sel_rng, cross_rng, mut_rng = rngs
     words = sel_rng.next_words(cfg.pop_sz - cfg.elite)
     genomes = pop.genomes
-    if sum(pop.scores) == 0:
-        picks = [word % cfg.pop_sz for word in words]
-    else:
-        picks = _roulette_picks(pop.scores, words, cfg.scaling_factor_res)
-    parents = [genomes[i] for i in picks]
+    parents = [genomes[i] for i in _roulette_picks(pop.scores, words, cfg.scaling_factor_res)]
 
     cross = method_for(cfg.cross_method, generation)
     children = []
@@ -439,13 +425,8 @@ def step_generation(
         children.append(parents[-1])
 
     mut = method_for(cfg.mut_method, generation)
-    bits, mr, mut_res = cfg.genom_lngt, cfg.mr, cfg.mut_res
-    gate_mask = (1 << mut_res) - 1
-    for i, c in enumerate(children):
-        if mut != BIT_FLIP:
-            children[i] = mutate(c, bits, mut, mr, mut_res, mut_rng)
-        elif (mut_rng.next_word() & gate_mask) < mr:  # mutate's gate, then its flips
-            children[i] = c ^ _flip_mask(mut_rng, bits, mr, mut_res)
+    children = [mutate(c, cfg.genom_lngt, mut, cfg.mr, cfg.mut_res, mut_rng)
+                for c in children]
     known = dict(zip(genomes, pop.scores))
     scores = []
     for c in children:

@@ -232,10 +232,12 @@ class TspFitness:
 
     def __init__(self, inst: TspInstance, genom_lngt: int = 16, score_sz: int = 16):
         n = inst.dimension
-        if (1 << genom_lngt) < math.factorial(n):
+        # n! > 2^n >= 2^genom_lngt once n >= 4: a large n is rejected before
+        # n! is computed, and lgamma gives log2(n!) for the message
+        if n >= max(genom_lngt, 4) or (1 << genom_lngt) < math.factorial(n):
             raise ValueError(
                 f"{genom_lngt}-bit genomes cannot index {n}! tours; "
-                f"need at least {math.ceil(math.log2(math.factorial(n)))} bits"
+                f"need at least {math.ceil(math.lgamma(n + 1) / math.log(2))} bits"
             )
         self.inst = inst
         self.score_sz = score_sz

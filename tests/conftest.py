@@ -10,12 +10,17 @@ degree is zero; its specs must be validated by the caller.
 
 The hypothesis profile is derandomized, so each run replays the same
 examples, and max_examples bounds the time the property tests add.
+
+subprocess_env is the environment of every child interpreter a test starts.
 """
 
+import os
 import random
+from pathlib import Path
 
 from hypothesis import settings
 
+import fuzzychip
 from fuzzychip import flc
 from fuzzychip.flc import (
     MIN,
@@ -31,6 +36,14 @@ settings.register_profile(
     "derandomized", derandomize=True, max_examples=40, deadline=None, database=None
 )
 settings.load_profile("derandomized")
+
+
+def subprocess_env() -> dict[str, str]:
+    """os.environ with the directory of the fuzzychip under test first on
+    PYTHONPATH, so a child interpreter imports the same package."""
+    src = str(Path(fuzzychip.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def random_partition(rnd: random.Random, in_bits: int, m: int):

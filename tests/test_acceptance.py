@@ -88,7 +88,7 @@ def test_acceptance_3_timing_reproduction():
         and base.sample_rate_hz == 6.25e6
     )
 
-    oe_spec = flc.default_core_spec(mode=flc.ODD_EVEN, stages=13, clock_ns=5.0)
+    oe_spec = replace(flc.default_core_spec(), mode=flc.ODD_EVEN, stages=13, clock_ns=5.0)
     oe = flc.estimate_timing(oe_spec)
     ok_oe = (
         oe.latency_ns == 65.0 and oe.cycles_per_sample == 8

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from conftest import random_knot_spec
+from conftest import random_knot_spec, subprocess_env
 from fuzzychip import __version__, cli, flc, flcref, ga, problems
 from fuzzychip.cli import SWEEP_MAX_ROWS, CliError, _sweep_rows, main
 from fuzzychip.flcref import infer_real, lift, quantization_bound
@@ -127,6 +127,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "fuzzychip.cli", "--version"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert out.returncode == 0
     assert out.stdout.strip() == __version__
@@ -163,7 +164,7 @@ print(json.dumps(report))
 
 def _cold_start(argvs: list[list[str]]) -> dict:
     proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, env=subprocess_env())
     return json.loads(proc.stdout)
 
 
@@ -637,6 +638,7 @@ def test_ga_rejects_empty_schedule(field, tmp_path):
          "--fn", "sphere", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 1
     assert proc.stderr == f"error: {field} schedule is empty\n"
@@ -862,8 +864,9 @@ def test_track_rejects_bad_numbers(waypoint_file, tmp_path):
 
 # nan and inf spacings once ran on a two-point path and exited 0; nan noise
 # or start poses died in quantize, inf noise printed numpy warnings, and a
-# negative sigma surfaced numpy's "scale < 0", and a negative seed numpy's
-# "expected non-negative integer" after the manifest was written
+# negative sigma surfaced numpy's "scale < 0", a sigma of 1e308 a NaN pose,
+# and a negative seed numpy's "expected non-negative integer" after the
+# manifest was written
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args, flag", [
     (["--spacing", "nan"], "--spacing"),
@@ -876,6 +879,8 @@ def test_track_rejects_bad_numbers(waypoint_file, tmp_path):
     (["--start", "0,0,inf"], "--start"),
     (["--start", "1e300,0,0"], "--start"),  # once summary.json held Infinity
     (["--seeds", "3,-1"], "--seeds"),
+    (["--noise", "1e308,0"], "--noise"),  # once a NaN pose after the manifest
+    (["--noise", "0,1e308"], "--noise"),
 ])
 def test_track_rejects_non_finite_inputs(args, flag, waypoint_file, tmp_path, capsys):
     out = tmp_path / "o"
@@ -940,8 +945,8 @@ def test_track_memory_flat_in_steps(tmp_path):
     for steps in (1000, 40000):
         argv = ["track", "--path", str(path), "--start", "12500,100000000,1.5708",
                 "--steps", str(steps), "--out", str(tmp_path / str(steps))]
-        proc = subprocess.run([sys.executable, "-c", TRACK_RSS, *argv],
-                              capture_output=True, text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", TRACK_RSS, *argv], capture_output=True,
+                              text=True, check=True, env=subprocess_env())
         assert f"rows={steps} " in proc.stdout
         peaks.append(int(proc.stdout.split()[-1]))
     assert peaks[1] - peaks[0] < 8 * 2**20, peaks

@@ -3,7 +3,6 @@ directory (demo 00 writes its inputs beside itself), and exits 0 with
 nothing on stderr. Demo 05 is left out: it takes about 3 s, and the
 `simulate` tests cover the API it uses."""
 
-import os
 import shutil
 import subprocess
 import sys
@@ -11,10 +10,9 @@ from pathlib import Path
 
 import pytest
 
-import fuzzychip
+from conftest import subprocess_env
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
-SRC = Path(fuzzychip.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", [
@@ -26,9 +24,7 @@ SRC = Path(fuzzychip.__file__).resolve().parents[1]
 ])
 def test_demo_runs(name, tmp_path):
     script = shutil.copy(DEMOS / name, tmp_path)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, script], cwd=tmp_path, env=subprocess_env(),
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout

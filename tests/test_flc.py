@@ -525,7 +525,7 @@ def test_timing_standard_baseline():
 
 
 def test_timing_odd_even():
-    spec = default_core_spec(mode=ODD_EVEN, stages=13, clock_ns=5.0)
+    spec = replace(default_core_spec(), mode=ODD_EVEN, stages=13, clock_ns=5.0)
     report = estimate_timing(spec)
     assert report.latency_ns == 65.0
     assert report.cycles_per_sample == 8
@@ -582,4 +582,5 @@ def test_spec_from_dict_rejects_malformed():
                  {"clock_ns": True}, {"clock_ns": "10"}, {"clock_ns": 10**400}):
         with pytest.raises(ValueError, match="malformed spec"):
             spec_from_dict({**doc, **edit})
-    assert spec_from_dict({**doc, "clock_ns": 10}) == default_core_spec(clock_ns=10.0)
+    expect = replace(default_core_spec(), clock_ns=10.0)
+    assert spec_from_dict({**doc, "clock_ns": 10}) == expect

@@ -114,20 +114,37 @@ def test_lfsr_next_equals_sixteen_steps_on_every_state():
 def test_orbit_is_the_stream_from_state_one():
     # every word's successor in the doubled orbit is lfsr_next of it, and
     # the index maps the 65535 nonzero states one-to-one onto positions
-    words, le_bytes, index = _orbit()
+    words, index = _orbit()
     assert words[0] == 1 and len(words) >= 2 * LFSR_PERIOD + 1
     assert all(lfsr_next(w)[0] == nxt for w, nxt in zip(words, words[1:]))
-    assert le_bytes == b"".join(w.to_bytes(2, "little") for w in words)
     assert sorted(index[1:]) == list(range(LFSR_PERIOD))
     assert all(words[index[s]] == s for s in range(1, 1 << 16))
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 40, LFSR_PERIOD, LFSR_PERIOD + 7])
 def test_next_words_equals_repeated_next_word(count):
+    # one orbit read covers at most one period; a longer one is rejected
+    # before it moves the stream
     for seed in (0x0001, 0xACE1, 0xFFFF):
         bulk, single = Lfsr16(seed), Lfsr16(seed)
-        assert bulk.next_words(count) == [single.next_word() for _ in range(count)]
+        if count > LFSR_PERIOD:
+            with pytest.raises(ValueError):
+                bulk.next_words(count)
+        else:
+            assert bulk.next_words(count) == [single.next_word() for _ in range(count)]
         assert bulk.state == single.state
+
+
+def test_orbit_reads_reject_negative_counts_before_moving():
+    # a negative count once moved the stream and then failed elsewhere, or
+    # (next_words) returned an empty list
+    reads = (lambda g: g.next_words(-1), lambda g: _draw_bits(g, -20),
+             lambda g: _flip_mask(g, -5, 80, 8))
+    for read in reads:
+        gen = Lfsr16(0xACE1)
+        with pytest.raises(ValueError):
+            read(gen)
+        assert gen.state == 0xACE1
 
 
 def test_lfsr16_rejects_corrupted_state():
@@ -522,9 +539,25 @@ def test_apply_elitism_zero():
 # ---- generation stepping ----
 
 
+def _expected_mutation(g, bits, method, mr, mut_res, rng):
+    """The mutation block word by word: a gate word, then one word per bit
+    for bit_flip (bit b flips iff its word mod 2^mut_res < mr) or one word
+    choosing the bit for single_bit."""
+    res_mask = (1 << mut_res) - 1
+    if (rng.next_word() & res_mask) >= mr:
+        return g
+    if method == SINGLE_BIT:
+        return g ^ (1 << (rng.next_word() % bits))
+    for b in range(bits):
+        if (rng.next_word() & res_mask) < mr:
+            g ^= 1 << b
+    return g
+
+
 def _expected_generation(pop, cfg, fitness_fn, seeds, generation=0):
-    """Re-derive one generation from the operator functions on cloned
-    streams; returns the population and the three streams' states after it."""
+    """Re-derive one generation from the selection and crossover operators
+    and the word-by-word mutation above, on cloned streams; returns the
+    population and the three streams' states after it."""
     sel, cross, mut = (Lfsr16(s) for s in seeds)
     zero_wheel = sum(pop.scores) == 0
     parents = []
@@ -551,7 +584,7 @@ def _expected_generation(pop, cfg, fitness_fn, seeds, generation=0):
     if len(parents) % 2:
         children.append(parents[-1])
     children = [
-        mutate(
+        _expected_mutation(
             c,
             cfg.genom_lngt,
             method_for(cfg.mut_method, generation),

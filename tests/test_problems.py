@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +257,23 @@ def test_tsp_fitness_requires_wide_genome():
     inst = load_builtin("burma14")
     with pytest.raises(ValueError, match="need at least 37 bits"):
         TspFitness(inst, genom_lngt=16)
+
+
+def test_tsp_fitness_rejects_huge_dimension_without_factorial():
+    # n! > 2^n >= 2^genom_lngt once n >= 4; the check and its message once
+    # computed n! twice (about 7 s each for a million cities)
+    n = 10**6
+    inst = TspInstance("huge", n, EUC_2D, ((0.0, 0.0),) * n)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="need at least 18488885 bits"):
+        TspFitness(inst, genom_lngt=4096)
+    assert time.perf_counter() - start < 1.0
+    # at the bound n == genom_lngt the message still gives ceil(log2(n!))
+    for n in (4, 40, 4096):
+        inst = TspInstance("grid", n, EUC_2D, tuple((float(i), 0.0) for i in range(n)))
+        need = (math.factorial(n) - 1).bit_length()
+        with pytest.raises(ValueError, match=f"need at least {need} bits$"):
+            TspFitness(inst, genom_lngt=n)
 
 
 def test_tsp_fitness_l_max():
