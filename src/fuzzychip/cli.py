@@ -111,10 +111,11 @@ def _prepare_out_dir(args) -> str:
 
 
 def _load(path: str, loader):
-    """loader(path); a missing, unreadable or malformed file exits 2."""
+    """loader(path); a missing, unreadable or malformed file exits 2, also
+    one nested too deep for the JSON decoder."""
     try:
         return loader(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(EXIT_IO, f"{path}: {exc}") from exc
 
 
@@ -143,6 +144,13 @@ def _seed_list(text: str) -> tuple[int, ...]:
     if min(seeds) < 0:
         raise argparse.ArgumentTypeError("expected non-negative seeds")
     return seeds
+
+
+def _job_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("expected a job count of at least 1")
+    return jobs
 
 
 def _noise_pair(text: str) -> tuple[float, float]:
@@ -514,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="4 comma-separated seeds; repeat for multiple runs")
     p.add_argument("--max-gen", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.set_defaults(func=cmd_ga)
 
     p = sub.add_parser("track", help="closed-loop path tracking simulation")
@@ -526,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=_pose_triple, default=None,
                    help="x,y,theta start pose (default: path start)")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("rerun", help="replay a manifest byte-identically")

@@ -11,10 +11,12 @@ Every inference path sums the 2^n active rules through one function,
 `fire`, over one `firing_plan`. The scalar path (`infer`, the tracker) runs on
 `Controller(spec)`, which memoises each input's `active_pair` per code on first
 use. Batched inference (`pair_tables`, `infer_batch`) lowers a spec to one
-`PairTable` per input -- `left`, `deg_left` and `deg_right` for every code,
-each filled by one scalar `active_pair` call -- and fires a block of points
-with numpy arrays in place of scalars. The membership arithmetic is never
-re-implemented, so every path equals `infer_full_rulebase` point for point.
+`ActivePair` of arrays per input -- `left`, `deg_left` and `deg_right` for
+every code, each filled by one scalar `active_pair` call -- and fires a block
+of points with numpy arrays in place of scalars. The membership arithmetic is
+never re-implemented, so every path equals `infer_full_rulebase` point for
+point. One rule, `pick_pair`, chooses the pair from an input's degrees in the
+fixed model and in the real one (`flcref.active_pair_real`).
 
 Width conventions:
     input codes       in_bits     unsigned
@@ -236,13 +238,18 @@ def validate_spec(spec: FlcSpec) -> ValidationReport:
 class ActivePair:
     """The two candidate MFs of one input: indices (left, left + 1).
 
-    The fields are scalars for one code, or arrays for a block of codes
-    (`PairTable.at`).
+    The fields are scalars for one code, or arrays: indexed by code over the
+    universe (`tabulate_pairs`), or for a block of codes (`at`).
     """
 
     left: int
     deg_left: int
     deg_right: int
+
+    def at(self, codes: np.ndarray) -> ActivePair:
+        """The pairs of an array of codes from a table over the universe; each
+        code must lie in it."""
+        return ActivePair(self.left[codes], self.deg_left[codes], self.deg_right[codes])
 
 
 @dataclass(frozen=True)
@@ -256,25 +263,24 @@ class ActiveRuleSet:
     firings: tuple[tuple[int, int, int], ...]
 
 
+def pick_pair(degs: Sequence) -> ActivePair:
+    """Lowest index with a nonzero degree (clamped to m - 2) and both degrees;
+    (0, 1) when every degree is zero.
+
+    Under the overlap-2 invariant every nonzero degree lives inside the
+    returned pair. With every degree of one input zero, every MIN or PROD
+    weight is zero whichever pair is chosen, so the point raises
+    DenominatorZero on every path.
+    """
+    left = min(next((i for i, d in enumerate(degs) if d > 0), 0), len(degs) - 2)
+    return ActivePair(left, degs[left], degs[left + 1])
+
+
 def active_pair(
     partition: Sequence[MembershipFunction], x: int, alpha_bits: int
 ) -> ActivePair:
-    """Lowest MF index with nonzero degree (clamped to m - 2) and both degrees.
-
-    Under the overlap-2 invariant every nonzero degree at x lives inside the
-    returned pair. If quantization floors every degree to zero the pair is
-    chosen by support containment so downstream code still sees a well-formed
-    (zero-weight) rule set.
-    """
-    m = len(partition)
-    degs = [membership(mf, x, alpha_bits) for mf in partition]
-    left = next((i for i, d in enumerate(degs) if d > 0), None)
-    if left is None:
-        left = next(
-            (i for i, mf in enumerate(partition) if mf.a <= x <= mf.d), m - 1
-        )
-    left = min(left, m - 2)
-    return ActivePair(left, degs[left], degs[left + 1])
+    """`pick_pair` of the fixed-point degrees of code x."""
+    return pick_pair([membership(mf, x, alpha_bits) for mf in partition])
 
 
 def rule_address(indices: Sequence[int], m: int) -> int:
@@ -432,23 +438,11 @@ def infer_full_rulebase(spec: FlcSpec, inputs: Sequence[int]) -> FixedWord:
 # ---- batched inference over per-input pair tables ----
 
 
-@dataclass(frozen=True)
-class PairTable:
-    """One input's active pair at every code of its universe, indexed by code."""
-
-    left: np.ndarray
-    deg_left: np.ndarray
-    deg_right: np.ndarray
-
-    def at(self, codes: np.ndarray) -> ActivePair:
-        """The pairs of an array of codes; each must lie in the universe."""
-        return ActivePair(self.left[codes], self.deg_left[codes], self.deg_right[codes])
-
-
-def tabulate_pairs(pair_at, size: int, dtype) -> PairTable:
-    """PairTable of the scalar pair_at(x) for x in 0 .. size - 1."""
+def tabulate_pairs(pair_at, size: int, dtype) -> ActivePair:
+    """ActivePair of arrays holding the scalar pair_at(x) at index x, for x in
+    0 .. size - 1."""
     import numpy as np
-    table = PairTable(np.empty(size, np.intp), np.empty(size, dtype), np.empty(size, dtype))
+    table = ActivePair(np.empty(size, np.intp), np.empty(size, dtype), np.empty(size, dtype))
     for x in range(size):
         pair = pair_at(x)
         table.left[x] = pair.left
@@ -471,7 +465,7 @@ def batch_dtype(spec: FlcSpec):
     return object
 
 
-def pair_tables(spec: FlcSpec) -> tuple[PairTable, ...]:
+def pair_tables(spec: FlcSpec) -> tuple[ActivePair, ...]:
     """Per-input pair tables over 0 .. 2^in_bits - 1, from active_pair."""
     dtype = batch_dtype(spec)
     return tuple(

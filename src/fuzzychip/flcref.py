@@ -7,12 +7,13 @@ real output. Every truncation in the integer datapath only ever lowers a
 weight, so the bound composes one-sided error terms.
 
 Under the overlap-2 invariant every nonzero real degree at x lies in the
-pair `active_pair_real` returns, so the real model fires only the 2^n active
-rules, scalar (`infer_real`) and batched over per-input pair tables
-(`pair_tables_real`, `infer_real_batch`). Both sum them with `flc.fire` in
-`flc.firing_plan` order, the order of the full m^n loop restricted to the
-pairs; the zero-weight terms that loop skips add 0.0 to non-negative sums, so
-the float bits equal the full-rulebase evaluation.
+pair `active_pair_real` returns -- `flc.pick_pair` of the real degrees, the
+rule the fixed model applies to its own -- so the real model fires only the
+2^n active rules, scalar (`infer_real`) and batched over per-input pair
+tables (`pair_tables_real`, `infer_real_batch`). Both sum them with
+`flc.fire` in `flc.firing_plan` order, the order of the full m^n loop
+restricted to the pairs; the zero-weight terms that loop skips add 0.0 to
+non-negative sums, so the float bits equal the full-rulebase evaluation.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .flc import (
     ActivePair,
     DenominatorZero,
     FlcSpec,
-    PairTable,
     fire,
     firing_plan,
     membership,
     pair_operands,
+    pick_pair,
     tabulate_pairs,
 )
 
@@ -89,12 +90,8 @@ def membership_real(mf: tuple[float, float, float, float], x: float) -> float:
 
 
 def active_pair_real(partition, x: float) -> ActivePair:
-    """Lowest MF index with a nonzero real degree (clamped to m - 2) and both
-    degrees; (0, 1) with zero degrees when no degree is nonzero."""
-    degs = [membership_real(mf, x) for mf in partition]
-    left = next((i for i, d in enumerate(degs) if d > 0.0), 0)
-    left = min(left, len(degs) - 2)
-    return ActivePair(left, degs[left], degs[left + 1])
+    """`flc.pick_pair` of the real degrees at x."""
+    return pick_pair([membership_real(mf, x) for mf in partition])
 
 
 def infer_real(rspec: RealFlcSpec, xs: list[float] | tuple[float, ...]) -> float:
@@ -109,7 +106,7 @@ def infer_real(rspec: RealFlcSpec, xs: list[float] | tuple[float, ...]) -> float
     return num / den
 
 
-def pair_tables_real(spec: FlcSpec, rspec: RealFlcSpec) -> tuple[PairTable, ...]:
+def pair_tables_real(spec: FlcSpec, rspec: RealFlcSpec) -> tuple[ActivePair, ...]:
     """Per-input real pair tables over the codes 0 .. 2^in_bits - 1 of spec,
     each code lifted as in infer_real's callers (x / 2^in_bits)."""
     import numpy as np

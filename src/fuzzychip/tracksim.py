@@ -80,7 +80,6 @@ class TrackerParams:
 @dataclass(frozen=True, eq=False)
 class PathSamples:
     points: np.ndarray  # (N, 2) mm
-    spacing: float
 
     def __len__(self) -> int:
         return len(self.points)
@@ -134,7 +133,7 @@ def interpolate_path(waypoints, spacing: float) -> PathSamples:
         carried += seg - pos
     if carried > 1e-6:  # residual below this is float dust, not a real gap
         samples.append(pts[-1])
-    return PathSamples(np.asarray(samples, dtype=float), spacing)
+    return PathSamples(np.asarray(samples, dtype=float))
 
 
 def closest_point(path: PathSamples, pose: Pose) -> int:

@@ -1106,3 +1106,34 @@ def test_jobs_clamped_to_usable_cpus(affinity, cpu_count, workers, ga_config_fil
     assert _InlinePool.started == workers
     assert capsys.readouterr().out == serial
     assert _hash_tree(tmp_path / "serial") == _hash_tree(tmp_path / "wide")
+
+
+# --jobs 0 and --jobs -3 once ran serially and exited 0
+@pytest.mark.parametrize("command", ["ga", "track"])
+def test_jobs_below_one_is_a_usage_error(command, ga_config_file, waypoint_file,
+                                         tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = {"ga": ["ga", "--config", ga_config_file, "--fn", "sphere", "--jobs", "0"],
+            "track": ["track", "--path", waypoint_file, "--jobs=-3"]}[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--jobs" in err
+    assert not out.exists()
+
+
+# 200,000 nested arrays once overflowed the JSON decoder's recursion limit
+# and escaped as a RecursionError traceback
+@pytest.mark.parametrize("command", ["flc validate", "ga", "rerun"])
+def test_deeply_nested_json_is_one_error_line(command, tmp_path, capsys):
+    deep = "[" * 200_000 + "]" * 200_000
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"argv": ' + deep + "}" if command == "rerun" else deep)
+    argv = {
+        "flc validate": ["flc", "validate", "--spec", str(doc)],
+        "ga": ["ga", "--config", str(doc), "--fn", "sphere", "--out", str(tmp_path / "o")],
+        "rerun": ["rerun", str(doc)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {doc}: ") and captured.err.count("\n") == 1

@@ -237,11 +237,28 @@ def test_active_pair_clamps_at_top():
 
 
 def test_active_pair_zero_quantized_fallback():
-    # alpha_bits=1 floors both overlapping edges to zero mid-span; the pair
-    # must still point at the MFs whose supports contain x
+    # alpha_bits=1 floors both overlapping edges to zero mid-span; with every
+    # degree zero the pair is (0, 1)
     part = (MF(0, 0, 0, 63), MF(0, 63, 63, 63))
     pair = active_pair(part, 31, 1)
     assert pair == ActivePair(0, 0, 0)
+
+
+def test_all_zero_degrees_pick_pair_zero_and_raise_on_every_path():
+    # at x = 50 only MF 1's support (and MF 2's edge) holds x, yet every degree
+    # floors to zero: the pair is (0, 1), not the support's, and no path fires
+    part = (MF(0, 0, 0, 40), MF(0, 40, 40, 63), MF(40, 63, 63, 63))
+    spec = FlcSpec(in_bits=6, out_bits=8, alpha_bits=1, cons_bits=8,
+                   partitions=(part,), singletons=(10, 100, 200))
+    assert validate_spec(spec).ok
+    assert [membership(mf, 50, 1) for mf in part] == [0, 0, 0]
+    assert active_pair(part, 50, 1) == ActivePair(0, 0, 0)
+    with pytest.raises(DenominatorZero):
+        infer(spec, [50])
+    with pytest.raises(DenominatorZero):
+        infer_batch(spec, [t.at(np.array([50])) for t in pair_tables(spec)])
+    with pytest.raises(DenominatorZero):
+        infer_full_rulebase(spec, [50])
 
 
 def test_rule_address_digit_order():
