@@ -15,6 +15,7 @@ FUZZYCHIP_LOG=debug|info|warning for progress logging on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -128,49 +129,81 @@ def _require_valid(spec: flc.FlcSpec) -> None:
 # ---- flag value parsers (argparse type= hooks; errors exit 2) ----
 
 
-def _seed_set(text: str) -> tuple[int, ...]:
-    parts = [int(p, 0) for p in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected 4 comma-separated seeds")
-    return tuple(parts)
+def _usage(expected: str):
+    """Decorates an argparse type= hook: a ValueError from it, a malformed
+    number or a value out of range, becomes the usage error `expected ...`
+    (argparse would name the hook function in the message)."""
+    def wrap(parse):
+        @functools.wraps(parse)
+        def hook(text: str):
+            try:
+                return parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"expected {expected}") from None
+        return hook
+    return wrap
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(p, 0) for p in text.split(","))
 
 
-def _seed_list(text: str) -> tuple[int, ...]:
-    seeds = _int_list(text)
-    if min(seeds) < 0:
-        raise argparse.ArgumentTypeError("expected non-negative seeds")
+def _floats(text: str, count: int) -> list[float]:
+    parts = [float(p) for p in text.split(",")]
+    if len(parts) != count:
+        raise ValueError(text)
+    return parts
+
+
+@_usage("4 comma-separated integer seeds")
+def _seed_set(text: str) -> tuple[int, ...]:
+    seeds = _ints(text)
+    if len(seeds) != 4:
+        raise ValueError(text)
     return seeds
 
 
+@_usage("comma-separated integer codes")
+def _int_list(text: str) -> tuple[int, ...]:
+    return _ints(text)
+
+
+@_usage("comma-separated non-negative integer seeds")
+def _seed_list(text: str) -> tuple[int, ...]:
+    seeds = _ints(text)
+    if min(seeds) < 0:
+        raise ValueError(text)
+    return seeds
+
+
+@_usage("a job count of at least 1")
 def _job_count(text: str) -> int:
     jobs = int(text)
     if jobs < 1:
-        raise argparse.ArgumentTypeError("expected a job count of at least 1")
+        raise ValueError(text)
     return jobs
 
 
+# sigma_d 1 is an error as large as the distance travelled, sigma_theta pi
+# half a turn; far larger ones overflow the estimated pose
+@_usage("sigma_d,sigma_theta with sigma_d in 0..1 and sigma_theta in 0..pi")
 def _noise_pair(text: str) -> tuple[float, float]:
-    # sigma_d 1 is an error as large as the distance travelled, sigma_theta
-    # pi half a turn; far larger ones overflow the estimated pose
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 2 or not (0 <= parts[0] <= 1 and 0 <= parts[1] <= math.pi):
-        raise argparse.ArgumentTypeError("expected sigma_d,sigma_theta with sigma_d in 0..1 "
-                                         "and sigma_theta in 0..pi")
-    return parts[0], parts[1]
+    sigma_d, sigma_theta = _floats(text, 2)
+    if not (0 <= sigma_d <= 1 and 0 <= sigma_theta <= math.pi):
+        raise ValueError(text)
+    return sigma_d, sigma_theta
 
 
 def _pose_triple(text: str) -> tuple[float, float, float]:
     from . import tracksim
-    parts = [float(p) for p in text.split(",")]
-    if (len(parts) != 3 or not all(map(math.isfinite, parts))
-            or max(map(abs, parts[:2])) > tracksim.MAX_COORD_MM):
+    try:
+        x, y, theta = _floats(text, 3)
+    except ValueError:
+        x = y = theta = math.nan
+    if not all(map(math.isfinite, (x, y, theta))) or max(abs(x), abs(y)) > tracksim.MAX_COORD_MM:
         raise argparse.ArgumentTypeError(
             f"expected finite x,y,theta with |x|, |y| <= {tracksim.MAX_COORD_MM:g} mm")
-    return parts[0], parts[1], parts[2]
+    return x, y, theta
 
 
 # ---- flc subcommands ----
@@ -235,8 +268,110 @@ def _sweep_rows(spec: flc.FlcSpec) -> int:
     return rows
 
 
+# 10^k for k = 0..96: exact up to 10^22, correctly rounded above
+_POW10 = tuple(float(10**k) for k in range(97))
+
+
+def _put_digits(slot, v, lead: bool = False) -> None:
+    """Writes the decimal digits of the unsigned ints v into slot, a uint8
+    view with one row per value, units digit in its last column; with lead,
+    the columns before a value's leading digit get 0 (pad) bytes."""
+    last = slot.shape[1] - 1
+    for k in range(last, -1, -1):
+        q = v // 10
+        d = v - q * 10 + 48
+        if lead and k < last:
+            d *= v != 0
+        slot[:, k] = d
+        v = q
+
+
+def _put_point(slot, v, places: int) -> None:
+    """Writes v / 10^places as `d.ddd` into slot (places + 2 columns), for
+    unsigned ints v below 10^(places + 1)."""
+    import numpy as np
+    whole = v // 10**places
+    slot[:, 0] = whole + 48
+    slot[:, 1] = ord(".")
+    _put_digits(slot[:, 2:], (v - whole * 10**places).astype(np.uint32))
+
+
+def _off_tie(v):
+    """v lies more than 1e-6 from a half-integer, so rint(v) rounds any value
+    within 1e-6 of v the same way."""
+    import numpy as np
+    return np.abs(v - np.floor(v) - 0.5) > 1e-6
+
+
+def _csv_rows(ints, real, err) -> str:
+    """CSV rows `i0,...,ik,real,err`: each of the int arrays ints (values
+    in 0..2^32 - 1) in decimal, real as format(r, '.9f') and err as
+    format(e, '.3e'), byte for byte.
+
+    Each cell is a fixed-width slot of one uint8 matrix, right-aligned
+    after 0 bytes that one mask drops at the end. The digits come from
+    integers that certify themselves (Loitsch's Grisu3 design):
+    - `.9f` is rint(r * 1e9), for r in [0, 10);
+    - `.3e` is the mantissa rint(e * 10^(3 - x)) in [1000, 10000] with
+      x = floor(log10(e)), for e in [1e-19, 1e100); a mantissa of 10000
+      carries into x, and e == 0 is 0.000e+00.
+    r * 1e9 is off by at most half an ulp, under 1e-6 below 1e10, and the
+    `.3e` scaling by a few ulps of a value below 1e4. A value outside those
+    ranges, an unrounded mantissa outside [1000, 10000) (log10 off by one
+    beside a power of ten), or a scaled value within 1e-6 of a rounding
+    tie is written by Python's format into the same slot instead, which
+    rounds exact ties such as 1/1024 half-even.
+    """
+    import numpy as np
+    ten = np.array(_POW10)
+    with np.errstate(all="ignore"):
+        scaled = real * 1e9
+        fix = np.rint(scaled)
+        fix_ok = ~np.signbit(real) & (fix < 1e10) & _off_tie(scaled)
+        in_range = (err >= 1e-19) & (err < 1e100)
+        x = np.clip(np.where(in_range, np.floor(np.log10(err)), 0), -19, 99).astype(np.int64)
+        pow10 = ten[np.abs(3 - x)]
+        scaled = np.where(x <= 3, err * pow10, err / pow10)
+        mant = np.rint(scaled)
+        carry = mant == 1e4
+        mant[carry] = 1e3
+        x += carry
+        sci_ok = (in_range & (scaled >= 1e3) & (scaled < 1e4) & (x < 100) & _off_tie(scaled)
+                  | (err == 0) & ~np.signbit(err))
+    fix_slow = np.flatnonzero(~fix_ok)
+    sci_slow = np.flatnonzero(~sci_ok)
+    fix_text = [format(v, ".9f") for v in real[fix_slow].tolist()]
+    sci_text = [format(v, ".3e") for v in err[sci_slow].tolist()]
+    fix[fix_slow] = mant[sci_slow] = x[sci_slow] = 0
+
+    ints = [np.asarray(v).astype(np.uint32) for v in ints]
+    widths = [len(str(int(v.max()))) for v in ints]
+    widths += [max([11, *map(len, fix_text)]), max([9, *map(len, sci_text)])]
+    ends = np.cumsum(widths) + np.arange(len(widths))  # one past each slot
+    buf = np.zeros((len(real), ends[-1] + 1), np.uint8)
+    buf[:, ends[:-1]] = ord(",")
+    buf[:, -1] = ord("\n")
+    for v, width, end in zip(ints, widths, ends):
+        _put_digits(buf[:, end - width:end], v, lead=True)
+    end = ends[-2]
+    _put_point(buf[:, end - 11:end], fix.astype(np.uint64), 9)
+    end = ends[-1]
+    _put_point(buf[:, end - 9:end - 4], mant.astype(np.uint32), 3)
+    buf[:, end - 4] = ord("e")
+    buf[:, end - 3] = np.where(x < 0, ord("-"), ord("+"))
+    _put_digits(buf[:, end - 2:end], np.abs(x).astype(np.uint32))
+    for end, width, rows, texts in ((ends[-2], widths[-2], fix_slow, fix_text),
+                                    (ends[-1], widths[-1], sci_slow, sci_text)):
+        cells = "".join(t.rjust(width, "\0") for t in texts).encode()
+        buf[rows, end - width:end] = np.frombuffer(cells, np.uint8).reshape(len(rows), width)
+    return buf[buf != 0].tobytes().decode()
+
+
 def _sweep_chunks(spec: flc.FlcSpec):
-    """sweep.csv text, one chunk per block of grid rows (x0 outer, x1 inner).
+    """sweep.csv text, one chunk per block of up to SWEEP_BLOCK grid rows
+    (x0 outer, x1 inner): the header, then each block's rows as _csv_rows
+    writes them, byte for byte what per-row f-strings
+    (`{x0},{x1},{code},{real:.9f},{err:.3e}`) would write.
 
     Both models fire from per-input pair tables built once over the sweep
     axis. Fixed degrees never exceed real ones, so a zero real denominator
@@ -259,14 +394,8 @@ def _sweep_chunks(spec: flc.FlcSpec):
         code = flc.infer_batch(spec, [t.at(x) for t, x in zip(tables, codes)]).ravel()
         real = infer_real_batch(rspec, [t.at(x) for t, x in zip(rtables, codes)]).ravel()
         err = np.abs(code.astype(np.float64) / out_scale - real)
-        if spec.n == 1:
-            prefixes = block.tolist()
-        else:
-            prefixes = [f"{x0},{x1}" for x0 in block.tolist() for x1 in range(size)]
-        yield "".join(
-            f"{p},{c},{r:.9f},{e:.3e}\n"
-            for p, c, r, e in zip(prefixes, code.tolist(), real.tolist(), err.tolist())
-        )
+        xs = [block] if spec.n == 1 else [np.repeat(block, size), np.tile(axis, len(block))]
+        yield _csv_rows([*xs, code], real, err)
 
 
 def cmd_flc_sweep(args) -> int:

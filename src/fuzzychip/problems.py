@@ -12,7 +12,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 EUC_2D = "EUC_2D"
 GEO = "GEO"
@@ -143,6 +142,7 @@ def load_tsplib(path) -> TspInstance:
 
 def load_builtin(name: str) -> TspInstance:
     """Instances bundled with the package (currently: burma14)."""
+    from importlib import resources  # about 10 ms that no CLI command needs
     data = resources.files("fuzzychip.data").joinpath(f"{name}.tsp").read_text()
     return parse_tsplib(data)
 

@@ -6,14 +6,18 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_knot_spec, subprocess_env
 from fuzzychip import __version__, cli, flc, flcref, ga, problems
-from fuzzychip.cli import SWEEP_MAX_ROWS, CliError, _sweep_rows, main
+from fuzzychip.cli import SWEEP_MAX_ROWS, CliError, _csv_rows, _sweep_rows, main
 from fuzzychip.flcref import infer_real, lift, quantization_bound
 from fuzzychip.tracksim import (
     TRACE_HEADER,
@@ -189,6 +193,14 @@ def test_cold_start_sweep_loads_numpy(tmp_path):
     assert report["flc sweep"] == [0, ["numpy"]]
     digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
     assert digest == FROZEN_SWEEP_SHA256["n1_prod"]
+
+
+def test_cold_start_loads_no_importlib_resources():
+    # without site (-S) nothing else imports it; load_builtin alone needs it
+    code = "import sys, fuzzychip.cli; print('importlib.resources' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True, env=subprocess_env())
+    assert proc.stdout == "False\n"
 
 
 def test_fn_and_instance_are_exclusive(ga_config_file, burma_file, tmp_path, capsys):
@@ -462,6 +474,80 @@ def test_sweep_32_bit_widths_match_scalar(and_method, tmp_path):
             real = infer_real(rspec, [x0 / 16, x1 / 16])
             want.append(f"{x0},{x1},{code},{real:.9f},{abs(code / 2**32 - real):.3e}")
     assert lines == want
+
+
+def test_sweep_one_input_14_bits_matches_scalar(tmp_path):
+    # four full blocks of one input, each row against scalar inference and
+    # the f-strings sweep.csv was once written with
+    spec = flc.FlcSpec(
+        in_bits=14, out_bits=16, alpha_bits=10, cons_bits=10,
+        partitions=(flc.uniform_partition(14, 5),),
+        singletons=(3, 517, 1000, 64, 1023))
+    path = tmp_path / "n1.json"
+    flc.dump_spec(spec, path)
+    assert main(["flc", "sweep", "--spec", str(path), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    rspec = lift(spec)
+    want = ["x0,fixed_code,real_value,abs_error"]
+    for x0 in range(1 << 14):
+        code = flc.infer(spec, (x0,)).value
+        real = infer_real(rspec, [x0 / 2**14])
+        want.append(f"{x0},{code},{real:.9f},{abs(code / 2**16 - real):.3e}")
+    assert lines == want
+
+
+# ---- sweep.csv cells ----
+
+
+def _csv_cells(ints, real, err) -> list[list[str]]:
+    text = _csv_rows(ints, np.array(real, np.float64), np.array(err, np.float64))
+    assert text.endswith("\n")
+    return [line.split(",") for line in text[:-1].split("\n")]
+
+
+def _formatted(real, err) -> list[list[str]]:
+    return [[str(i), format(r, ".9f"), format(e, ".3e")]
+            for i, (r, e) in enumerate(zip(real, err))]
+
+
+# values on and beside every rounding and range edge of the integer paths,
+# and values only Python's format writes
+_EDGE_VALUES = st.one_of(
+    st.floats(),  # nan, infinities, negatives, huge and tiny values
+    st.floats(0, 10),
+    st.builds(lambda m, k: m / 2**k, st.integers(0, 10**10), st.integers(0, 60)),  # ties
+    st.integers(-330, 120).map(lambda k: float(f"1e{k}")),
+    st.builds(lambda k, d: float(f"9.999{d}e{k}"), st.integers(-25, 101), st.integers(0, 9)),
+    st.builds(lambda d, f: d + float(f"0.{f}"), st.integers(0, 10),
+              st.sampled_from(["9999999994", "9999999995", "9999999996", "0000000005"])),
+    st.sampled_from([1e-19, math.nextafter(1e-19, 0), math.nextafter(1e-19, 1), 1e100,
+                     math.nextafter(1e100, 0), 9.9995e99, 1 / 1024, 0.0, -0.0, 1.0]),
+    st.floats(0, 2.2250738585072014e-308),  # subnormals
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_EDGE_VALUES, _EDGE_VALUES), min_size=1, max_size=40))
+def test_csv_rows_match_python_format(pairs):
+    real, err = zip(*pairs)
+    assert _csv_cells([np.arange(len(real))], real, err) == _formatted(real, err)
+
+
+def test_csv_rows_fallback_shares_a_block_with_the_integer_path():
+    # ties, a 310-character .9f and a 10-character .3e widen their slots for
+    # the whole block; the rows beside them take the integer path
+    real = [0.25, 1 / 1024, 1e300, -0.0, 9.9999999995, 0.123456789, math.nan]
+    err = [0.25, 1e-300, 1e-320, 0.0, 9.9995e-3, math.inf, 1.5e-5]
+    assert _csv_cells([np.arange(7)], real, err) == _formatted(real, err)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32, object])
+def test_csv_rows_integer_columns(dtype):
+    values = [0, 9, 10, 99, 100, 2**20 - 1, 2**32 - 1]
+    ints = [np.array(values, dtype), np.array(values[::-1], dtype)]
+    rows = _csv_cells(ints, [0.5] * 7, [0.25] * 7)
+    assert rows == [[str(a), str(b), "0.500000000", "2.500e-01"]
+                    for a, b in zip(values, values[::-1])]
 
 
 @pytest.fixture()
@@ -1119,6 +1205,24 @@ def test_jobs_below_one_is_a_usage_error(command, ga_config_file, waypoint_file,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "--jobs" in err
     assert not out.exists()
+
+
+# argparse names a type= hook in the message of a ValueError from it: these
+# once printed e.g. `argument --input: invalid _int_list value: 'a'`
+@pytest.mark.parametrize("argv", [
+    ["flc", "eval", "--spec", "spec.json", "--input", "a"],
+    ["ga", "--seeds", "1,2,x,4"],
+    ["track", "--seeds", "a"],
+    ["track", "--noise", "a"],
+    ["track", "--start", "a,b,c"],
+    ["ga", "--jobs", "x"],
+], ids=["_int_list", "_seed_set", "_seed_list", "_noise_pair", "_pose_triple", "_job_count"])
+def test_bad_flag_value_names_no_hook(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"argument {argv[-2]}: expected " in err
+    assert re.search(r"\b_\w", err) is None, err
 
 
 # 200,000 nested arrays once overflowed the JSON decoder's recursion limit
