@@ -15,7 +15,6 @@ FUZZYCHIP_LOG=debug|info|warning for progress logging on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import math
@@ -130,11 +129,10 @@ def _require_valid(spec: flc.FlcSpec) -> None:
 
 
 def _usage(expected: str):
-    """Decorates an argparse type= hook: a ValueError from it, a malformed
+    """Decorates an argparse type= hook: its ValueError, from a malformed
     number or a value out of range, becomes the usage error `expected ...`
-    (argparse would name the hook function in the message)."""
+    (argparse would print the hook's name in its own message)."""
     def wrap(parse):
-        @functools.wraps(parse)
         def hook(text: str):
             try:
                 return parse(text)
@@ -146,13 +144,6 @@ def _usage(expected: str):
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(p, 0) for p in text.split(","))
-
-
-def _floats(text: str, count: int) -> list[float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != count:
-        raise ValueError(text)
-    return parts
 
 
 @_usage("4 comma-separated integer seeds")
@@ -184,11 +175,11 @@ def _job_count(text: str) -> int:
     return jobs
 
 
-# sigma_d 1 is an error as large as the distance travelled, sigma_theta pi
-# half a turn; far larger ones overflow the estimated pose
 @_usage("sigma_d,sigma_theta with sigma_d in 0..1 and sigma_theta in 0..pi")
 def _noise_pair(text: str) -> tuple[float, float]:
-    sigma_d, sigma_theta = _floats(text, 2)
+    # sigma_d 1 is an error as large as the distance travelled, sigma_theta
+    # pi half a turn; far larger ones overflow the estimated pose
+    sigma_d, sigma_theta = map(float, text.split(","))
     if not (0 <= sigma_d <= 1 and 0 <= sigma_theta <= math.pi):
         raise ValueError(text)
     return sigma_d, sigma_theta
@@ -197,13 +188,14 @@ def _noise_pair(text: str) -> tuple[float, float]:
 def _pose_triple(text: str) -> tuple[float, float, float]:
     from . import tracksim
     try:
-        x, y, theta = _floats(text, 3)
+        pose = tuple(map(float, text.split(",")))
     except ValueError:
-        x = y = theta = math.nan
-    if not all(map(math.isfinite, (x, y, theta))) or max(abs(x), abs(y)) > tracksim.MAX_COORD_MM:
+        pose = ()
+    if (len(pose) != 3 or not all(map(math.isfinite, pose))
+            or max(map(abs, pose[:2])) > tracksim.MAX_COORD_MM):
         raise argparse.ArgumentTypeError(
             f"expected finite x,y,theta with |x|, |y| <= {tracksim.MAX_COORD_MM:g} mm")
-    return x, y, theta
+    return pose
 
 
 # ---- flc subcommands ----
@@ -344,7 +336,7 @@ def _csv_rows(ints, real, err) -> str:
     sci_text = [format(v, ".3e") for v in err[sci_slow].tolist()]
     fix[fix_slow] = mant[sci_slow] = x[sci_slow] = 0
 
-    ints = [np.asarray(v).astype(np.uint32) for v in ints]
+    ints = [v.astype(np.uint32) for v in ints]
     widths = [len(str(int(v.max()))) for v in ints]
     widths += [max([11, *map(len, fix_text)]), max([9, *map(len, sci_text)])]
     ends = np.cumsum(widths) + np.arange(len(widths))  # one past each slot

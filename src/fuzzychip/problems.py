@@ -142,7 +142,7 @@ def load_tsplib(path) -> TspInstance:
 
 def load_builtin(name: str) -> TspInstance:
     """Instances bundled with the package (currently: burma14)."""
-    from importlib import resources  # about 10 ms that no CLI command needs
+    from importlib import resources  # about 10 ms to import; only this function uses it
     data = resources.files("fuzzychip.data").joinpath(f"{name}.tsp").read_text()
     return parse_tsplib(data)
 
