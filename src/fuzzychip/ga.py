@@ -13,6 +13,12 @@ map of it, is the XOR of two 256-entry table reads, one per state byte;
 lfsr_next says why. Every stream walks the same cycle of 65,535 words, so
 bulk draws are slices of one precomputed orbit (_orbit), built on first use.
 
+run lowers its config once (_lower) and steps each generation through one
+body over the streams' orbit positions: one selection slice, a walk over the
+crossover pairs and one over the mutation gates; each population sorts its
+rank order once. roulette_select, crossover, mutate and apply_elitism specify
+that body block by block; the tests compose them and compare.
+
 Genomes are unsigned ints of genom_lngt bits (bit 0 = LSB); scores are
 unsigned ints of score_sz bits.
 """
@@ -152,6 +158,13 @@ def _hit_string(mr: int, mut_res: int) -> bytes:
     return (hits[::-1].astype(np.uint8) + ord("0")).tobytes()
 
 
+def _position(state: int) -> int:
+    """The orbit position of a stream's next word; rejects a corrupted state."""
+    if not 0 < state < 0x10000:
+        _reject_state(state)
+    return _orbit().index[state]
+
+
 class Lfsr16:
     """Mutable word-at-a-time stream with the transitions of lfsr_next.
     state is the next word; every draw rejects a corrupted one."""
@@ -168,13 +181,10 @@ class Lfsr16:
     def _take(self, count: int) -> tuple[_Orbit, int]:
         """The orbit and the position of the next word in it; skips `count`
         words, 0 <= count <= LFSR_PERIOD."""
-        state = self.state
-        if not 0 < state < 0x10000:
-            _reject_state(state)
+        pos = _position(self.state)
         if not 0 <= count <= LFSR_PERIOD:
             raise ValueError(f"one orbit read covers 0..{LFSR_PERIOD} words, got {count}")
         orbit = _orbit()
-        pos = orbit.index[state]
         self.state = orbit.words[pos + count]
         return orbit, pos
 
@@ -278,15 +288,18 @@ def method_for(method: str | Sequence[str], generation: int) -> str:
 class Population:
     genomes: tuple[int, ...]
     scores: tuple[int, ...]
-    # found once per population: run and its observer both ask for it
-    _best: int = field(init=False, repr=False, compare=False)
+    # indices by score, high first, ties by lower index: run, its observer
+    # and elitism all read it, so it is sorted once per population
+    order: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_best", self.scores.index(max(self.scores)))
+        # reverse=True keeps the sort stable: equal scores stay in index order
+        object.__setattr__(self, "order", sorted(
+            range(len(self.scores)), key=self.scores.__getitem__, reverse=True))
 
     def best_index(self) -> int:
         """Highest score, ties broken by lower index."""
-        return self._best
+        return self.order[0]
 
 
 @dataclass(frozen=True)
@@ -376,9 +389,7 @@ def apply_elitism(
 ) -> Population:
     """Elites first (top scores from the previous generation, ties by lower
     index, carried with their known scores), then the children."""
-    # reverse=True keeps the sort stable: equal scores stay in index order
-    order = sorted(range(len(old.genomes)), key=old.scores.__getitem__, reverse=True)
-    keep = order[:elite]
+    keep = old.order[:elite]
     genomes = tuple([old.genomes[i] for i in keep] + list(child_genomes))
     scores = tuple([old.scores[i] for i in keep] + list(child_scores))
     return Population(genomes, scores)
@@ -391,6 +402,70 @@ def _clamp_score(value: int, score_sz: int) -> int:
     return min(max(int(value), 0), (1 << score_sz) - 1)
 
 
+def _lower(cfg: GaConfig, fitness_fn: Callable[[int], int]):
+    """cfg's generation body, with all that no generation changes set up once.
+
+    body(pop, pos, generation) returns the next population and advances pos,
+    the orbit positions of the (selection, crossover, mutation) streams, in
+    place. It draws the words the operators would, in their order, as reads
+    of the orbit: one slice, a walk over the pairs, a walk over the gates."""
+    words, period = _orbit().words, LFSR_PERIOD
+    bits, elite, res = cfg.genom_lngt, cfg.elite, cfg.scaling_factor_res
+    n_parents, full, top = cfg.pop_sz - elite, (1 << cfg.genom_lngt) - 1, (1 << cfg.score_sz) - 1
+    gate_mask, mr = (1 << cfg.mut_res) - 1, cfg.mr
+    crosses, muts = _as_schedule(cfg.cross_method), _as_schedule(cfg.mut_method)
+    per_pair = {SINGLE_POINT: 1, TWO_POINT: 2, UNIFORM: (bits + 15) // 16}
+    hits = _hit_string(mr, cfg.mut_res) if BIT_FLIP in muts else b""
+    last = len(hits) - 1
+
+    def body(pop: Population, pos: list[int], generation: int) -> Population:
+        sel, at, q = pos
+        genomes, scores = pop.genomes, pop.scores
+        parents = [genomes[i] for i in _roulette_picks(scores, words[sel:sel + n_parents], res)]
+
+        cross = crosses[min(generation, len(crosses) - 1)]
+        per, children = per_pair[cross], []
+        for a, b in zip(parents[::2], parents[1::2]):
+            if cross == UNIFORM:
+                mask = int.from_bytes(words[at:at + per].tobytes(), sys.byteorder) & full
+            else:  # a cut mask; two_point XORs in a second: the middle segment
+                mask = (1 << (1 + words[at] % (bits - 1))) - 1
+                if cross == TWO_POINT:
+                    mask ^= (1 << (1 + words[at + 1] % (bits - 1))) - 1
+            at += per
+            if at >= period:
+                at -= period
+            swap = (a ^ b) & mask
+            children += (a ^ swap, b ^ swap)
+        if n_parents % 2:
+            children.append(parents[-1])
+
+        single = muts[min(generation, len(muts) - 1)] == SINGLE_BIT
+        for i, c in enumerate(children):
+            if words[q] & gate_mask < mr:
+                if single:
+                    children[i] = c ^ (1 << (words[q + 1] % bits))
+                    q += 2
+                else:
+                    children[i] = c ^ int(hits[last - q - bits:last - q], 2)
+                    q += 1 + bits
+            else:
+                q += 1
+            if q >= period:
+                q -= period
+        pos[:] = (sel + n_parents) % period, at, q
+
+        known = dict(zip(genomes, scores))
+        for c in children:
+            if c not in known:
+                known[c] = min(max(int(fitness_fn(c)), 0), top)
+        keep = pop.order[:elite]
+        return Population(tuple([genomes[i] for i in keep] + children),
+                          tuple([scores[i] for i in keep] + [known[c] for c in children]))
+
+    return body
+
+
 def step_generation(
     pop: Population,
     cfg: GaConfig,
@@ -398,43 +473,25 @@ def step_generation(
     rngs: tuple[Lfsr16, Lfsr16, Lfsr16],
     generation: int = 0,
 ) -> Population:
-    """One generation: select pop_sz - elite parents, pair them consecutively,
-    cross, mutate, evaluate, then prepend the elites.
+    """One generation, by run's body (_lower): select pop_sz - elite parents,
+    pair them consecutively, cross, mutate, evaluate, prepend the elites.
 
-    rngs are the (selection, crossover, mutation) streams. Selection consumes
-    exactly one word per parent whether or not the all-zero-fitness fallback
-    of _roulette_picks (uniform pick, index = word mod pop_sz) is active.
+    rngs are the (selection, crossover, mutation) streams; a corrupted state
+    is rejected before any word is drawn. Selection consumes exactly one
+    word per parent whether or not the all-zero-fitness fallback of
+    _roulette_picks (uniform pick, index = word mod pop_sz) is active.
     With an odd parent count the final parent skips crossover and is mutated
-    as-is. Each child goes through mutate once.
+    as-is. Each child goes through the mutation block once.
 
     fitness_fn must be pure: a child equal to a genome of pop, or to an
     earlier child of this generation, takes that genome's known score
     instead of a new fitness_fn call (elitism already carries scores so).
     """
-    sel_rng, cross_rng, mut_rng = rngs
-    words = sel_rng.next_words(cfg.pop_sz - cfg.elite)
-    genomes = pop.genomes
-    parents = [genomes[i] for i in _roulette_picks(pop.scores, words, cfg.scaling_factor_res)]
-
-    cross = method_for(cfg.cross_method, generation)
-    children = []
-    for i in range(0, len(parents) - 1, 2):
-        c1, c2 = crossover(parents[i], parents[i + 1], cfg.genom_lngt, cross, cross_rng)
-        children.extend((c1, c2))
-    if len(parents) % 2:
-        children.append(parents[-1])
-
-    mut = method_for(cfg.mut_method, generation)
-    children = [mutate(c, cfg.genom_lngt, mut, cfg.mr, cfg.mut_res, mut_rng)
-                for c in children]
-    known = dict(zip(genomes, pop.scores))
-    scores = []
-    for c in children:
-        score = known.get(c)
-        if score is None:
-            score = known[c] = _clamp_score(fitness_fn(c), cfg.score_sz)
-        scores.append(score)
-    return apply_elitism(pop, children, scores, cfg.elite)
+    pos = [_position(rng.state) for rng in rngs]
+    pop = _lower(cfg, fitness_fn)(pop, pos, generation)
+    for rng, p in zip(rngs, pos):
+        rng.state = _orbit().words[p]
+    return pop
 
 
 def init_population(cfg: GaConfig, fitness_fn, rng: Lfsr16) -> Population:
@@ -452,23 +509,25 @@ def run(
     """Full GA run. The observer checks fitness_limit before max_gen, so a
     satisfied limit on generation 0 stops before any stepping.
 
-    fitness_fn must be pure (same genome, same score): step_generation
-    reuses the scores of genomes it has already seen."""
+    cfg is lowered once (_lower): every generation runs one body over the
+    streams' orbit positions, and each population's rank order is sorted
+    once, when it is built. fitness_fn must be pure (same genome, same
+    score): a generation reuses the scores of genomes it has already seen."""
     cfg.validate()
-    streams = [Lfsr16(s) for s in cfg.seeds]
-    pop = init_population(cfg, fitness_fn, streams[0])
-    rngs = (streams[1], streams[2], streams[3])
+    pop = init_population(cfg, fitness_fn, Lfsr16(cfg.seeds[0]))
+    body = _lower(cfg, fitness_fn)
+    pos = [_position(seed) for seed in cfg.seeds[1:]]
 
     generation = 0
     while True:
         if on_generation is not None:
             on_generation(generation, pop)
-        best = pop.best_index()
+        best = pop.order[0]
         if cfg.fitness_limit is not None and pop.scores[best] >= cfg.fitness_limit:
             return GaResult(pop.genomes[best], pop.scores[best], generation, FITNESS_LIMIT)
         if generation >= cfg.max_gen:
             return GaResult(pop.genomes[best], pop.scores[best], generation, MAX_GEN)
-        pop = step_generation(pop, cfg, fitness_fn, rngs, generation)
+        pop = body(pop, pos, generation)
         generation += 1
 
 

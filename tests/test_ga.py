@@ -505,23 +505,34 @@ def test_apply_elitism_keeps_top_scores_ties_by_index():
 
 
 def test_best_index_found_once_per_generation(monkeypatch, tmp_path):
-    # run's stopping check and the CLI's generation log both ask each
-    # population for its best index; its scores are scanned once
+    # run's stopping check, the CLI's generation log and elitism all read
+    # each population's rank order; it is sorted once per population
     from fuzzychip import cli
 
-    scans = []
+    sorts = []
 
-    def counting_max(*args, **kwargs):
-        if len(args) == 1:  # max(scores), not max(a, b)
-            scans.append(args[0])
-        return max(*args, **kwargs)
+    def counting_sorted(*args, **kwargs):
+        sorts.append(args[0])
+        return sorted(*args, **kwargs)
 
-    monkeypatch.setattr(ga, "max", counting_max, raising=False)
+    monkeypatch.setattr(ga, "sorted", counting_sorted, raising=False)
     cfg = GaConfig(max_gen=5)
     cli._ga_payload(cfg, problems.BenchmarkFitness("sphere", 16, 16), 0, str(tmp_path))
     rows = (tmp_path / "generations_000.csv").read_text()
     assert rows.count("\n") == 7  # header and generations 0..5
-    assert len(scans) == 6
+    assert len(sorts) == 6
+
+
+@settings(max_examples=200)
+@given(scores=st.one_of(
+    st.lists(st.sampled_from((0, 1, 7, 65535, (1 << 32) - 1)), min_size=1, max_size=64),
+    st.integers(1, 64).flatmap(lambda n: st.integers(0, 9).map(lambda s: [s] * n)),
+))
+def test_population_order_ranks_by_score_then_index(scores):
+    # ties (and all-equal scores) rank by lower index
+    pop = Population(tuple(range(len(scores))), tuple(scores))
+    assert pop.order == sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    assert pop.best_index() == pop.order[0]
 
 
 def test_best_index_ties_by_lower_index():
@@ -656,48 +667,78 @@ def _schedules(names):
                      st.lists(st.sampled_from(names), min_size=1, max_size=3).map(tuple))
 
 
-@settings(max_examples=200)
-@given(
-    data=st.data(),
-    half_pop=st.integers(1, 8),
-    genom_lngt=st.integers(2, 300),
-    cross=_schedules(CROSS_METHODS),
-    mut=_schedules(MUT_METHODS),
-    generation=st.integers(0, 3),
-    score_sz=st.integers(1, 16),
-    fit_mod=st.sampled_from((1, 3, 5, 251, 1 << 20)),
-    seeds=st.tuples(*[st.integers(1, 0xFFFF)] * 3),
-)
-def test_step_generation_equals_operator_composition(
-    data, half_pop, genom_lngt, cross, mut, generation, score_sz, fit_mod, seeds
-):
-    # random configs: odd parent tails, every method and schedule, small
-    # score widths that clamp, fit_mod 1 makes every score 0 (zero wheel),
-    # mr at both ends of its range; the streams' states must match too
-    pop_sz = 2 * half_pop
-    mut_res = data.draw(st.integers(1, 16))
+# a stream seed anywhere on the orbit, or within 300 words of the end of its
+# period, so that reads cross position LFSR_PERIOD - 1 -> 0
+_STREAM_SEEDS = st.one_of(
+    st.integers(1, 0xFFFF),
+    st.integers(LFSR_PERIOD - 300, LFSR_PERIOD - 1).map(lambda p: _orbit().words[p]))
+
+
+@st.composite
+def _configs(draw):
+    """Random valid configs: odd parent tails, every method and schedule,
+    small score widths that clamp, mr at both ends of its range."""
+    pop_sz = 2 * draw(st.integers(1, 8))
+    mut_res = draw(st.integers(1, 16))
     top = (1 << mut_res) - 1
     cfg = GaConfig(
-        genom_lngt=genom_lngt,
-        score_sz=score_sz,
+        genom_lngt=draw(st.integers(2, 300)),
+        score_sz=draw(st.integers(1, 16)),
         pop_sz=pop_sz,
-        scaling_factor_res=data.draw(st.integers(1, 16)),
-        elite=data.draw(st.integers(0, pop_sz - 1)),
-        mr=data.draw(st.one_of(st.sampled_from((0, top)), st.integers(0, top))),
+        scaling_factor_res=draw(st.integers(1, 16)),
+        elite=draw(st.integers(0, pop_sz - 1)),
+        mr=draw(st.one_of(st.sampled_from((0, top)), st.integers(0, top))),
         mut_res=mut_res,
-        cross_method=cross,
-        mut_method=mut,
+        cross_method=draw(_schedules(CROSS_METHODS)),
+        mut_method=draw(_schedules(MUT_METHODS)),
     )
     assert cfg.problems() == []
-    fit = lambda g: (g * 0x9E37 + 11) % fit_mod - 1  # pure; -1 clamps to 0
+    return cfg
+
+
+def _pure_fitness(fit_mod):
+    """fit_mod 1 makes every score 0 (the zero wheel); -1 clamps to 0."""
+    return lambda g: (g * 0x9E37 + 11) % fit_mod - 1
+
+
+_FIT_MODS = st.sampled_from((1, 3, 5, 251, 1 << 20))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), cfg=_configs(), generation=st.integers(0, 3), fit_mod=_FIT_MODS,
+       seeds=st.tuples(*[_STREAM_SEEDS] * 3))
+def test_step_generation_equals_operator_composition(data, cfg, generation, fit_mod, seeds):
+    # the streams' states must match too
+    fit = _pure_fitness(fit_mod)
     genomes = tuple(
-        data.draw(st.lists(st.integers(0, (1 << genom_lngt) - 1), min_size=pop_sz,
-                           max_size=pop_sz))
+        data.draw(st.lists(st.integers(0, (1 << cfg.genom_lngt) - 1), min_size=cfg.pop_sz,
+                           max_size=cfg.pop_sz))
     )
-    pop = Population(genomes, tuple(min(max(fit(g), 0), (1 << score_sz) - 1)
+    pop = Population(genomes, tuple(min(max(fit(g), 0), (1 << cfg.score_sz) - 1)
                                     for g in genomes))
     assert (_step(pop, cfg, fit, seeds, generation)
             == _expected_generation(pop, cfg, fit, seeds, generation))
+
+
+@settings(max_examples=100)
+@given(cfg=_configs(), max_gen=st.integers(1, 4), fit_mod=_FIT_MODS,
+       seeds=st.tuples(*[_STREAM_SEEDS] * 4))
+def test_run_equals_iterated_operator_composition(cfg, max_gen, fit_mod, seeds):
+    # run steps its own lowered body, not step_generation or the operators:
+    # every population it logs must be the composition of the operators,
+    # generation after generation, with the streams' states carried
+    cfg = replace(cfg, max_gen=max_gen, seeds=seeds)
+    fit = _pure_fitness(fit_mod)
+    logged = []
+    result = run(cfg, fit, on_generation=lambda gen, pop: logged.append(pop))
+    pop = init_population(cfg, fit, Lfsr16(seeds[0]))
+    states, expected = seeds[1:], [pop]
+    for generation in range(max_gen):
+        pop, states = _expected_generation(pop, cfg, fit, states, generation)
+        expected.append(pop)
+    assert logged == expected
+    best = pop.best_index()
+    assert result == GaResult(pop.genomes[best], pop.scores[best], max_gen, MAX_GEN)
 
 
 @pytest.mark.parametrize("profile", ["burma14", "3-bit"])
@@ -835,6 +876,30 @@ def test_run_burma14_log_frozen():
     assert result.generations_run == 300
     assert digest.hexdigest() == (
         "f973392e1a181cbef41dcfe27871e2be3114bfd619a8f19a4fe3313195cac621"
+    )
+
+
+def test_run_log_frozen_across_the_orbit_end():
+    # the acceptance-6 profile with every stream seeded within 300 words of
+    # the end of its 65,535-word period: init wraps within generation 0,
+    # the other three within 50 generations, reads straddle the end, and
+    # the mutation stream goes round its period twice; the digest was
+    # computed with the operators' own stream reads
+    fit = problems.TspFitness(problems.load_builtin("burma14"), genom_lngt=40)
+    seeds = (0xA941, 0xFBA7, 0x87AC, 0x45B1)
+    assert [LFSR_PERIOD - _orbit().index[s] for s in seeds] == [40, 150, 200, 300]
+    cfg = GaConfig(genom_lngt=40, pop_sz=32, scaling_factor_res=16, elite=26, mr=80,
+                   cross_method=UNIFORM, mut_method=BIT_FLIP, max_gen=2000, seeds=seeds)
+    digest = hashlib.sha256()
+
+    def log(gen, pop):
+        digest.update(f"{gen}:{pop.genomes}:{pop.scores}\n".encode())
+
+    result = run(cfg, fit, on_generation=log)
+    digest.update(f"{result}\n".encode())
+    assert result.generations_run == 2000
+    assert digest.hexdigest() == (
+        "e8a33936c45bae39e73156e9cc819a39037e4007ddceba13247bb09863a9e441"
     )
 
 
