@@ -10,14 +10,16 @@ is reproducible from its four seeds.
 A word is sixteen single-bit shifts (lfsr_step, the specification). The
 word equals the state it started from, and the next state, a GF(2)-linear
 map of it, is the XOR of two 256-entry table reads, one per state byte;
-lfsr_next says why. Every stream walks the same cycle of 65,535 words, so
-bulk draws are slices of one precomputed orbit (_orbit), built on first use.
+lfsr_next says why. Every stream walks the same cycle of 65,535 words, one
+precomputed orbit (_orbit), built on first use.
 
-run lowers its config once (_lower) and steps each generation through one
-body over the streams' orbit positions: one selection slice, a walk over the
-crossover pairs and one over the mutation gates; each population sorts its
-rank order once. roulette_select, crossover, mutate and apply_elitism specify
-that body block by block; the tests compose them and compare.
+roulette_select, crossover, mutate and apply_elitism are the specification:
+they draw through Lfsr16.next_word, one word at a time, and never read the
+orbit. Only the run path does: run lowers its config once (_lower) and steps
+each generation through one body over the streams' orbit positions (one
+selection slice, a walk over the crossover pairs and one over the mutation
+gates; each population sorts its rank order once), and init_population reads
+its genomes as slices. The tests compose the operators and compare.
 
 Genomes are unsigned ints of genom_lngt bits (bit 0 = LSB); scores are
 unsigned ints of score_sz bits.
@@ -51,9 +53,13 @@ MAX_GEN = "max_gen"
 FITNESS_LIMIT = "fitness_limit"
 
 # largest genom_lngt and pop_sz a config may ask for: a gated bit_flip child
-# still consumes one word per bit (read as one slice of the orbit, not bit by
-# bit), so a generation's time and draws grow with both
+# consumes one word per bit, so a generation's time and draws grow with both
 GA_MAX_SIZE = 4096
+# largest max_gen a config may ask for: the CLI keeps one log row per
+# generation until the run ends. At burma14's 40-bit genomes a row is about
+# 90 B, so 2^20 is about 95 MB of rows and 70 s of generations when the
+# fitness limit is never met; a 4096-bit best genome makes a row about 1.1 kB
+GA_MAX_GEN = 1 << 20
 
 
 class AllZeroFitness(ValueError):
@@ -178,39 +184,6 @@ class Lfsr16:
         self.state, word = lfsr_next(self.state)
         return word
 
-    def _take(self, count: int) -> tuple[_Orbit, int]:
-        """The orbit and the position of the next word in it; skips `count`
-        words, 0 <= count <= LFSR_PERIOD."""
-        pos = _position(self.state)
-        if not 0 <= count <= LFSR_PERIOD:
-            raise ValueError(f"one orbit read covers 0..{LFSR_PERIOD} words, got {count}")
-        orbit = _orbit()
-        self.state = orbit.words[pos + count]
-        return orbit, pos
-
-    def next_words(self, count: int) -> list[int]:
-        """The next `count` words, as `count` next_word calls would give:
-        one orbit slice, 0 <= count <= LFSR_PERIOD."""
-        orbit, pos = self._take(count)
-        return orbit.words[pos:pos + count].tolist()
-
-
-def _draw_bits(rng: Lfsr16, bits: int) -> int:
-    """A bits-wide value from the next ceil(bits / 16) words, first word
-    lowest: one read of the orbit, in its native byte order."""
-    count = (bits + 15) // 16
-    orbit, pos = rng._take(count)
-    value = int.from_bytes(orbit.words[pos:pos + count].tobytes(), sys.byteorder)
-    return value & ((1 << bits) - 1)
-
-
-def _flip_mask(rng: Lfsr16, bits: int, mr: int, mut_res: int) -> int:
-    """The bits a gated bit_flip mutation flips with the next `bits` words:
-    bit b set iff (word b mod 2^mut_res) < mr. One read of _hit_string."""
-    hits = _hit_string(mr, mut_res)
-    end = len(hits) - rng._take(bits)[1]
-    return int(hits[end - bits:end], 2)
-
 
 # ---- configuration and population ----
 
@@ -253,8 +226,8 @@ class GaConfig:
             out.append("mut_res must be 1..16")
         elif not 0 <= self.mr < (1 << self.mut_res):  # 2^mut_res needs a valid mut_res
             out.append("mr must be in 0 .. 2^mut_res - 1")
-        if self.max_gen < 0:
-            out.append("max_gen must be >= 0")
+        if not 0 <= self.max_gen <= GA_MAX_GEN:
+            out.append(f"max_gen must be 0..{GA_MAX_GEN}")
         for field, known in (("cross_method", CROSS_METHODS), ("mut_method", MUT_METHODS)):
             schedule = _as_schedule(getattr(self, field))
             if not schedule:
@@ -346,7 +319,8 @@ def crossover(
     p1: int, p2: int, bits: int, method: str, rng: Lfsr16
 ) -> tuple[int, int]:
     """Two parents to two children. Draw budget is fixed per method:
-    single_point 1 word, two_point 2 words, uniform ceil(bits / 16) words."""
+    single_point 1 word, two_point 2 words, uniform ceil(bits / 16) words
+    (the mask, first word lowest)."""
     if method == SINGLE_POINT:
         k = 1 + rng.next_word() % (bits - 1)  # cut in 1 .. bits - 1
         mask = (1 << k) - 1  # bits below the cut swap
@@ -355,8 +329,9 @@ def crossover(
         k2 = 1 + rng.next_word() % (bits - 1)
         lo, hi = min(k1, k2), max(k1, k2)
         mask = ((1 << hi) - 1) ^ ((1 << lo) - 1)  # middle segment swaps
-    elif method == UNIFORM:
-        mask = _draw_bits(rng, bits)  # set bits swap
+    elif method == UNIFORM:  # set bits swap
+        mask = sum(rng.next_word() << (16 * i) for i in range((bits + 15) // 16))
+        mask &= (1 << bits) - 1
     else:
         raise ValueError(f"unknown cross_method {method!r}")
     c1 = (p1 & ~mask) | (p2 & mask)
@@ -367,17 +342,17 @@ def crossover(
 def mutate(g: int, bits: int, method: str, mr: int, mut_res: int, rng: Lfsr16) -> int:
     """Gate draw first: mutate only if (word mod 2^mut_res) < mr.
 
-    single_bit then flips one rng-chosen bit; bit_flip re-tests every bit
-    position with a fresh draw (so a gated genome may still come back
-    unchanged), read as one orbit slice (_flip_mask). Draw budget when
-    gated: 1 word or `bits` words."""
-    gate = rng.next_word() & ((1 << mut_res) - 1)
-    if gate >= mr:
+    single_bit then flips one rng-chosen bit; bit_flip re-tests bit b with
+    its own word, flipping it iff (word mod 2^mut_res) < mr (so a gated
+    genome may still come back unchanged). Draw budget when gated: 1 word
+    or `bits` words."""
+    res_mask = (1 << mut_res) - 1
+    if rng.next_word() & res_mask >= mr:
         return g
     if method == SINGLE_BIT:
         return g ^ (1 << (rng.next_word() % bits))
     if method == BIT_FLIP:
-        return g ^ _flip_mask(rng, bits, mr, mut_res)
+        return g ^ sum(1 << b for b in range(bits) if rng.next_word() & res_mask < mr)
     raise ValueError(f"unknown mut_method {method!r}")
 
 
@@ -396,10 +371,6 @@ def apply_elitism(
 
 
 # ---- generation loop ----
-
-
-def _clamp_score(value: int, score_sz: int) -> int:
-    return min(max(int(value), 0), (1 << score_sz) - 1)
 
 
 def _lower(cfg: GaConfig, fitness_fn: Callable[[int], int]):
@@ -495,10 +466,19 @@ def step_generation(
 
 
 def init_population(cfg: GaConfig, fitness_fn, rng: Lfsr16) -> Population:
-    """Generation 0 drawn from the init stream, one genome at a time."""
-    genomes = tuple(_draw_bits(rng, cfg.genom_lngt) for _ in range(cfg.pop_sz))
-    scores = tuple(_clamp_score(fitness_fn(g), cfg.score_sz) for g in genomes)
-    return Population(genomes, scores)
+    """Generation 0 from the init stream: each genome is the next
+    ceil(genom_lngt / 16) words, first word lowest, read from the orbit as
+    _lower reads a uniform mask; rng is left after the last one."""
+    pos = _position(rng.state)
+    words, per, full = _orbit().words, (cfg.genom_lngt + 15) // 16, (1 << cfg.genom_lngt) - 1
+    genomes = []
+    for _ in range(cfg.pop_sz):
+        genomes.append(int.from_bytes(words[pos:pos + per].tobytes(), sys.byteorder) & full)
+        pos = (pos + per) % LFSR_PERIOD
+    rng.state = words[pos]
+    top = (1 << cfg.score_sz) - 1
+    return Population(tuple(genomes), tuple(min(max(int(fitness_fn(g)), 0), top)
+                                            for g in genomes))
 
 
 def run(

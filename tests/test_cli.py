@@ -713,6 +713,21 @@ def test_ga_rejects_huge_genome(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_ga_rejects_unbounded_max_gen(source, ga_config_file, tmp_path, capsys):
+    # a run logs one row per generation until it ends; --max-gen 10^9 once
+    # validated and grew without bound while its fitness limit went unmet
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({"max_gen": ga.GA_MAX_GEN + 1}))
+    args = (["--config", str(cfg)] if source == "config"
+            else ["--config", ga_config_file, "--max-gen", str(10**9)])
+    out = tmp_path / "o"
+    rc = main(["ga", *args, "--fn", "sphere", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: max_gen must be 0..{ga.GA_MAX_GEN}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["cross_method", "mut_method"])
 def test_ga_rejects_empty_schedule(field, tmp_path):
     # an empty schedule used to pass validation and crash in method_for

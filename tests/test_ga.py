@@ -12,6 +12,7 @@ from fuzzychip.ga import (
     BIT_FLIP,
     CROSS_METHODS,
     FITNESS_LIMIT,
+    GA_MAX_GEN,
     GA_MAX_SIZE,
     LFSR_TAPS,
     MAX_GEN,
@@ -26,8 +27,6 @@ from fuzzychip.ga import (
     LFSR_PERIOD,
     Lfsr16,
     Population,
-    _draw_bits,
-    _flip_mask,
     _orbit,
     _roulette_picks,
     apply_elitism,
@@ -121,46 +120,16 @@ def test_orbit_is_the_stream_from_state_one():
     assert all(words[index[s]] == s for s in range(1, 1 << 16))
 
 
-@pytest.mark.parametrize("count", [0, 1, 3, 40, LFSR_PERIOD, LFSR_PERIOD + 7])
-def test_next_words_equals_repeated_next_word(count):
-    # one orbit read covers at most one period; a longer one is rejected
-    # before it moves the stream
-    for seed in (0x0001, 0xACE1, 0xFFFF):
-        bulk, single = Lfsr16(seed), Lfsr16(seed)
-        if count > LFSR_PERIOD:
-            with pytest.raises(ValueError):
-                bulk.next_words(count)
-        else:
-            assert bulk.next_words(count) == [single.next_word() for _ in range(count)]
-        assert bulk.state == single.state
-
-
-def test_orbit_reads_reject_negative_counts_before_moving():
-    # a negative count once moved the stream and then failed elsewhere, or
-    # (next_words) returned an empty list
-    reads = (lambda g: g.next_words(-1), lambda g: _draw_bits(g, -20),
-             lambda g: _flip_mask(g, -5, 80, 8))
-    for read in reads:
-        gen = Lfsr16(0xACE1)
-        with pytest.raises(ValueError):
-            read(gen)
-        assert gen.state == 0xACE1
-
-
 def test_lfsr16_rejects_corrupted_state():
     for bad in (0, 1 << 16):
         gen = Lfsr16(0xACE1)
         gen.state = bad
         with pytest.raises(ValueError):
             gen.next_word()
-        for count in (0, 5):
+        for bits in (2, 40):
             with pytest.raises(ValueError):
-                gen.next_words(count)
-        for bits in (1, 40):
-            with pytest.raises(ValueError):
-                _draw_bits(gen, bits)
-            with pytest.raises(ValueError):
-                _flip_mask(gen, bits, 80, 8)
+                init_population(GaConfig(genom_lngt=bits), lambda g: 1, gen)
+        assert gen.state == bad
 
 
 @pytest.mark.parametrize("stream", [0, 1, 2])
@@ -177,60 +146,17 @@ def test_step_generation_rejects_corrupted_state(stream, methods):
             step_generation(pop, cfg, lambda g: g & 0xFF, tuple(rngs))
 
 
-def test_orbit_read_covers_at_most_one_period():
-    with pytest.raises(ValueError):
-        _draw_bits(Lfsr16(1), 16 * LFSR_PERIOD + 1)
-    gen = Lfsr16(1)
-    _draw_bits(gen, 16 * LFSR_PERIOD)
-    assert gen.state == 1
-
-
-@settings(max_examples=150)
-@given(seed=st.integers(1, 0xFFFF), bits=st.integers(1, 4096))
-def test_draw_bits_equals_word_assembly(seed, bits):
-    gen, clone = Lfsr16(seed), Lfsr16(seed)
-    expect = sum(clone.next_word() << (16 * i) for i in range((bits + 15) // 16))
-    assert _draw_bits(gen, bits) == expect & ((1 << bits) - 1)
-    assert gen.state == clone.state
-
-
-@settings(max_examples=150)
-@given(data=st.data(), seed=st.integers(1, 0xFFFF), bits=st.integers(1, 4096),
-       mut_res=st.integers(1, 16))
-def test_flip_mask_equals_per_bit_draws(data, seed, bits, mut_res):
-    top = (1 << mut_res) - 1
-    mr = data.draw(st.one_of(st.sampled_from((0, 1, top)), st.integers(0, top)))
-    gen, clone = Lfsr16(seed), Lfsr16(seed)
-    expect = sum(1 << b for b in range(bits) if (clone.next_word() & top) < mr)
-    assert _flip_mask(gen, bits, mr, mut_res) == expect
-    assert gen.state == clone.state
-
-
 def test_lfsr16_wrapper():
     gen = Lfsr16(0xACE1)
     w1 = gen.next_word()
     assert w1 == 0xACE1
     assert gen.state == 0x10E1
     gen2 = Lfsr16(0xACE1)
-    assert gen2.next_words(3) == [w1, gen.next_word(), gen.next_word()]
+    assert [gen2.next_word() for _ in range(3)] == [w1, gen.next_word(), gen.next_word()]
     with pytest.raises(ValueError):
         Lfsr16(0)
     with pytest.raises(ValueError):
         Lfsr16(1 << 16)
-
-
-def test_draw_bits_little_endian():
-    gen = Lfsr16(0x1234)
-    w1, w2, w3 = gen.next_words(3)
-    assert _draw_bits(Lfsr16(0x1234), 32) == w1 | (w2 << 16)
-    assert _draw_bits(Lfsr16(0x1234), 40) == (w1 | (w2 << 16) | (w3 << 32)) & (
-        (1 << 40) - 1
-    )
-    assert _draw_bits(Lfsr16(0x1234), 16) == w1
-    # Sub-word widths still consume a whole word.
-    gen4 = Lfsr16(0x1234)
-    assert _draw_bits(gen4, 8) == w1 & 0xFF
-    assert gen4.next_word() == w2
 
 
 # ---- configuration ----
@@ -273,6 +199,7 @@ def test_default_config_is_valid():
         ({"score_sz": 33}, "score_sz must be 1..32"),
         ({"score_sz": 10**6}, "score_sz must be 1..32"),  # once an OverflowError
         ({"mut_res": -1}, "mut_res must be 1..16"),  # 1 << -1 once raised in problems()
+        ({"max_gen": 10**12}, "max_gen must be 0..1048576"),  # once accepted
     ],
 )
 def test_config_problems(kwargs, needle):
@@ -283,11 +210,12 @@ def test_config_problems(kwargs, needle):
 
 
 def test_config_size_caps_are_inclusive():
-    # bit_flip draws one word per bit, so widths and populations are capped
-    assert GA_MAX_SIZE == 4096
-    assert GaConfig(genom_lngt=4096, pop_sz=4096).problems() == []
+    # bit_flip draws one word per bit, so widths and populations are capped;
+    # the CLI logs one row per generation until the run ends, so max_gen is
+    assert GA_MAX_SIZE == 4096 and GA_MAX_GEN == 1 << 20
+    assert GaConfig(genom_lngt=4096, pop_sz=4096, max_gen=GA_MAX_GEN).problems() == []
     assert GaConfig(score_sz=32).problems() == []
-    assert len(GaConfig(genom_lngt=4097, pop_sz=4097).problems()) == 2
+    assert len(GaConfig(genom_lngt=4097, pop_sz=4097, max_gen=GA_MAX_GEN + 1).problems()) == 3
 
 
 def test_method_schedule():
@@ -421,7 +349,8 @@ def test_crossover_uniform_mask_and_budget():
         gen = Lfsr16(0x5EED)
         clone = Lfsr16(0x5EED)
         c1, c2 = crossover((1 << bits) - 1, 0, bits, UNIFORM, gen)
-        assert c2 == _draw_bits(clone, bits)
+        words = [clone.next_word() for _ in range((bits + 15) // 16)]  # first word lowest
+        assert c2 == sum(w << (16 * i) for i, w in enumerate(words)) & ((1 << bits) - 1)
         assert gen.state == clone.state
 
 
@@ -657,7 +586,8 @@ def test_step_generation_selection_budget():
     sel = Lfsr16(0x1234)
     step_generation(pop, cfg, fit, (sel, Lfsr16(2), Lfsr16(3)), 0)
     ref = Lfsr16(0x1234)
-    ref.next_words(cfg.pop_sz - cfg.elite)
+    for _ in range(cfg.pop_sz - cfg.elite):
+        ref.next_word()
     assert sel.state == ref.state
 
 
@@ -776,13 +706,55 @@ def test_step_generation_scores_each_new_child_once(profile):
 
 
 def test_init_population_from_stream():
-    cfg = GaConfig(pop_sz=4, genom_lngt=24, score_sz=8)
+    # init reads its genomes from the orbit; word by word, each genome is
+    # the next ceil(genom_lngt / 16) words, first word lowest, and a sub-word
+    # width still consumes a whole word. Seeds within 300 words of the end of
+    # the period make the reads wrap to position 0.
+    seeds = [1, 0xACE1, 0xFFFF] + [_orbit().words[p]
+                                   for p in range(LFSR_PERIOD - 300, LFSR_PERIOD)]
     fit = lambda g: g  # clamps at 255
-    pop = init_population(cfg, fit, Lfsr16(0xACE1))
-    clone = Lfsr16(0xACE1)
-    expect = tuple(_draw_bits(clone, 24) for _ in range(4))
-    assert pop.genomes == expect
-    assert pop.scores == tuple(min(g, 255) for g in expect)
+    for bits in (2, 8, 16, 17, 40, 300):
+        cfg = GaConfig(genom_lngt=bits, score_sz=8)
+        for seed in seeds:
+            gen, clone = Lfsr16(seed), Lfsr16(seed)
+            pop = init_population(cfg, fit, gen)
+            expect = tuple(
+                sum(clone.next_word() << (16 * i) for i in range((bits + 15) // 16))
+                & ((1 << bits) - 1) for _ in range(cfg.pop_sz))
+            assert pop.genomes == expect, (bits, seed)
+            assert pop.scores == tuple(min(g, 255) for g in expect)
+            assert gen.state == clone.state, (bits, seed)
+
+
+def test_specification_does_not_read_the_orbit(monkeypatch):
+    # the operators and the word-by-word oracles built on them check the run
+    # path's orbit reads, so they must draw without the orbit and agree
+    fit = lambda g: (g * 7 + 3) % 251
+    genomes = tuple(0x1111 * (i + 1) << 20 for i in range(8))
+    pop = Population(genomes, tuple(fit(g) for g in genomes))
+    seeds = (0x1234, 0x5EED, 0x0F0F)
+    cfgs = [GaConfig(genom_lngt=40, pop_sz=8, elite=1, mr=200, cross_method=c, mut_method=m)
+            for c in CROSS_METHODS for m in MUT_METHODS]
+
+    def specification():
+        rng = Lfsr16(0xACE1)
+        draws = [rng.next_word()]
+        for method in CROSS_METHODS:
+            draws += crossover(0x12345, 0xABCDE << 16, 40, method, rng)
+        for method in MUT_METHODS:
+            draws += [mutate(0x12345, 40, method, 255, 8, rng) for _ in range(4)]
+        return draws, rng.state, [_expected_generation(pop, cfg, fit, seeds) for cfg in cfgs]
+
+    expect = specification()
+    assert expect[2] == [_step(pop, cfg, fit, seeds) for cfg in cfgs]
+
+    def no_orbit():
+        raise AssertionError("the specification read the orbit")
+
+    monkeypatch.setattr(ga, "_orbit", no_orbit)
+    with pytest.raises(AssertionError):
+        _step(pop, cfgs[0], fit, seeds)  # the run path does read it
+    assert specification() == expect
 
 
 def test_score_clamping_floor():
