@@ -303,23 +303,26 @@ def _csv_rows(ints, real, err) -> str:
     Each cell is a fixed-width slot of one uint8 matrix, right-aligned
     after 0 bytes that one mask drops at the end. The digits come from
     integers that certify themselves (Loitsch's Grisu3 design):
-    - `.9f` is rint(r * 1e9), for r in [0, 10);
+    - `.9f` is r * 1e9 = p + e rounded half-even, for r in [0, 10): p and
+      its exact error e are Dekker's error-free product (1e9 has 21 bits,
+      so it is its own high half), and only a half-integer p reads e;
     - `.3e` is the mantissa rint(e * 10^(3 - x)) in [1000, 10000] with
       x = floor(log10(e)), for e in [1e-19, 1e100); a mantissa of 10000
       carries into x, and e == 0 is 0.000e+00.
-    r * 1e9 is off by at most half an ulp, under 1e-6 below 1e10, and the
-    `.3e` scaling by a few ulps of a value below 1e4. A value outside those
-    ranges, an unrounded mantissa outside [1000, 10000) (log10 off by one
-    beside a power of ten), or a scaled value within 1e-6 of a rounding
-    tie is written by Python's format into the same slot instead, which
-    rounds exact ties such as 1/1024 half-even.
+    The `.3e` scaling is off by a few ulps of a value below 1e4. A value
+    outside those ranges, an unrounded mantissa outside [1000, 10000)
+    (log10 off by one beside a power of ten), or a `.3e` scaled value
+    within 1e-6 of a rounding tie is written by Python's format into the
+    same slot instead.
     """
     import numpy as np
     ten = np.array(_POW10)
     with np.errstate(all="ignore"):
-        scaled = real * 1e9
-        fix = np.rint(scaled)
-        fix_ok = ~np.signbit(real) & (fix < 1e10) & _off_tie(scaled)
+        p = real * 1e9
+        hi = (c := real * 134217729.0) - (c - real)  # Veltkamp: r's high 26 bits
+        e = hi * 1e9 - p + (real - hi) * 1e9  # r * 1e9 == p + e exactly
+        fix = np.where((p - np.floor(p) == 0.5) & (e != 0), p + np.copysign(0.5, e), np.rint(p))
+        fix_ok = ~np.signbit(real) & (fix < 1e10)
         in_range = (err >= 1e-19) & (err < 1e100)
         x = np.clip(np.where(in_range, np.floor(np.log10(err)), 0), -19, 99).astype(np.int64)
         pow10 = ten[np.abs(3 - x)]

@@ -12,11 +12,12 @@ Every inference path sums the 2^n active rules through one function,
 `Controller(spec)`, which memoises each input's `active_pair` per code on first
 use. Batched inference (`pair_tables`, `infer_batch`) lowers a spec to one
 `ActivePair` of arrays per input -- `left`, `deg_left` and `deg_right` for
-every code, each filled by one scalar `active_pair` call -- and fires a block
-of points with numpy arrays in place of scalars. The membership arithmetic is
-never re-implemented, so every path equals `infer_full_rulebase` point for
-point. One rule, `pick_pair`, chooses the pair from an input's degrees in the
-fixed model and in the real one (`flcref.active_pair_real`).
+every code, from `axis_pairs`, which applies `membership` and `pick_pair`
+elementwise -- and fires a block of points with numpy arrays in place of
+scalars. The tables equal `active_pair` at every code, and every path equals
+`infer_full_rulebase` point for point. One rule, `pick_pair`, chooses the
+pair from an input's degrees in the fixed model and in the real one
+(`flcref.active_pair_real`).
 
 Width conventions:
     input codes       in_bits     unsigned
@@ -239,7 +240,7 @@ class ActivePair:
     """The two candidate MFs of one input: indices (left, left + 1).
 
     The fields are scalars for one code, or arrays: indexed by code over the
-    universe (`tabulate_pairs`), or for a block of codes (`at`).
+    universe (`axis_pairs`), or for a block of codes (`at`).
     """
 
     left: int
@@ -438,19 +439,6 @@ def infer_full_rulebase(spec: FlcSpec, inputs: Sequence[int]) -> FixedWord:
 # ---- batched inference over per-input pair tables ----
 
 
-def tabulate_pairs(pair_at, size: int, dtype) -> ActivePair:
-    """ActivePair of arrays holding the scalar pair_at(x) at index x, for x in
-    0 .. size - 1."""
-    import numpy as np
-    table = ActivePair(np.empty(size, np.intp), np.empty(size, dtype), np.empty(size, dtype))
-    for x in range(size):
-        pair = pair_at(x)
-        table.left[x] = pair.left
-        table.deg_left[x] = pair.deg_left
-        table.deg_right[x] = pair.deg_right
-    return table
-
-
 def batch_dtype(spec: FlcSpec):
     """Integer dtype of the batched datapath.
 
@@ -465,15 +453,43 @@ def batch_dtype(spec: FlcSpec):
     return object
 
 
+def axis_pairs(bounds, axis, top, ratio, dtype) -> ActivePair:
+    """`pick_pair` of every code of one input, as arrays indexed by code.
+
+    bounds[i] is MF i's (a, b, c, d); axis[x], ascending, is code x's point.
+    A degree is `membership` elementwise: 0 off [a, d], else top on [b, c],
+    else ratio(x - a, b - a) or ratio(d - x, d - c). One pass over the codes
+    of each MF's support finds each code's lowest nonzero MF; the supports of
+    a valid partition overlap pairwise, so memory is O(len(axis)) for any m.
+    """
+    import numpy as np
+    m, bounds = len(bounds), np.array(bounds)
+    lo = np.searchsorted(axis, bounds[:, 0])
+    widths = np.maximum(np.searchsorted(axis, bounds[:, 3], "right") - lo, 0)
+    mfs = np.repeat(np.arange(m), widths)
+    codes = np.arange(len(mfs)) + np.repeat(lo - np.cumsum(widths) + widths, widths)
+
+    def degree(i, x):
+        a, b, c, d = bounds[i].T
+        rising = x < b
+        edge = ratio(np.where(rising, x - a, d - x), np.where(rising, b - a, d - c))
+        return np.where((x < a) | (x > d), 0, np.where((b <= x) & (x <= c), top, edge))
+
+    left = np.full(len(axis), m, np.intp)
+    hit = degree(mfs, axis[codes]) > 0
+    np.minimum.at(left, codes[hit], mfs[hit])
+    left = np.minimum(np.where(left == m, 0, left), m - 2)
+    return ActivePair(left, *(degree(left + k, axis).astype(dtype) for k in (0, 1)))
+
+
 def pair_tables(spec: FlcSpec) -> tuple[ActivePair, ...]:
-    """Per-input pair tables over 0 .. 2^in_bits - 1, from active_pair."""
-    dtype = batch_dtype(spec)
+    """Per-input pair tables over 0 .. 2^in_bits - 1, equal to active_pair at
+    every code; int64 floors top * (x - a) exactly for in_bits <= 31."""
+    import numpy as np
+    top = (1 << spec.alpha_bits) - 1
     return tuple(
-        tabulate_pairs(
-            lambda x, part=part: active_pair(part, x, spec.alpha_bits),
-            1 << spec.in_bits,
-            dtype,
-        )
+        axis_pairs([(mf.a, mf.b, mf.c, mf.d) for mf in part], np.arange(1 << spec.in_bits),
+                   top, lambda num, den: top * num // np.maximum(den, 1), batch_dtype(spec))
         for part in spec.partitions
     )
 

@@ -10,7 +10,8 @@ Under the overlap-2 invariant every nonzero real degree at x lies in the
 pair `active_pair_real` returns -- `flc.pick_pair` of the real degrees, the
 rule the fixed model applies to its own -- so the real model fires only the
 2^n active rules, scalar (`infer_real`) and batched over per-input pair
-tables (`pair_tables_real`, `infer_real_batch`). Both sum them with
+tables (`pair_tables_real`, built by `flc.axis_pairs` with `membership_real`'s
+divisions elementwise, and `infer_real_batch`). Both sum them with
 `flc.fire` in `flc.firing_plan` order, the order of the full m^n loop
 restricted to the pairs; the zero-weight terms that loop skips add 0.0 to
 non-negative sums, so the float bits equal the full-rulebase evaluation.
@@ -28,12 +29,12 @@ from .flc import (
     ActivePair,
     DenominatorZero,
     FlcSpec,
+    axis_pairs,
     fire,
     firing_plan,
     membership,
     pair_operands,
     pick_pair,
-    tabulate_pairs,
 )
 
 if TYPE_CHECKING:  # numpy loads in the batched functions that use it
@@ -108,17 +109,13 @@ def infer_real(rspec: RealFlcSpec, xs: list[float] | tuple[float, ...]) -> float
 
 def pair_tables_real(spec: FlcSpec, rspec: RealFlcSpec) -> tuple[ActivePair, ...]:
     """Per-input real pair tables over the codes 0 .. 2^in_bits - 1 of spec,
-    each code lifted as in infer_real's callers (x / 2^in_bits)."""
+    equal to active_pair_real at every code lifted as in infer_real's callers
+    (x / 2^in_bits), with membership_real's divisions."""
     import numpy as np
-    in_scale = 1 << spec.in_bits
-    return tuple(
-        tabulate_pairs(
-            lambda x, part=part: active_pair_real(part, x / in_scale),
-            in_scale,
-            np.float64,
-        )
-        for part in rspec.partitions
-    )
+    size = 1 << spec.in_bits
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 off the edges
+        return tuple(axis_pairs(part, np.arange(size) / size, 1.0, np.divide, np.float64)
+                     for part in rspec.partitions)
 
 
 def infer_real_batch(rspec: RealFlcSpec, pairs: Sequence[ActivePair]) -> np.ndarray:

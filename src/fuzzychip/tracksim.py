@@ -221,6 +221,13 @@ def build_tracker_spec(params: TrackerParams) -> FlcSpec:
     )
 
 
+@functools.cache
+def tracker_controller(params: TrackerParams) -> flc.Controller:
+    """build_tracker_spec(params), compiled once per process; its memo fills
+    across runs and keeps no state that changes an output."""
+    return flc.Controller(build_tracker_spec(params))
+
+
 def code_to_curvature(code: int, kappa_max: float, out_bits: int = _OUT_BITS) -> float:
     """Affine output map with an exact zero at the middle code 2^(out_bits-1)."""
     half = 1 << (out_bits - 1)
@@ -316,7 +323,7 @@ def trace_rows(path: PathSamples, params: TrackerParams, start: Pose | None = No
     pose defaults to the first sample, aligned with the initial tangent.
     The noise is drawn in blocks of NOISE_BLOCK (d, theta) rows, the same
     draws in the same order as two scalar rng.normal calls per step."""
-    ctl = flc.Controller(build_tracker_spec(params))
+    ctl = tracker_controller(params)
     maps = error_maps(params)
     rng = np.random.default_rng(seed)
     sigma_d, sigma_theta = noise

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_knot_spec, subprocess_env
-from fuzzychip import __version__, cli, flc, flcref, ga, problems
+from fuzzychip import __version__, cli, flc, flcref, ga, problems, tracksim
 from fuzzychip.cli import SWEEP_MAX_ROWS, CliError, _csv_rows, _sweep_rows, main
 from fuzzychip.flcref import infer_real, lift, quantization_bound
 from fuzzychip.tracksim import (
@@ -523,6 +523,8 @@ _EDGE_VALUES = st.one_of(
     st.sampled_from([1e-19, math.nextafter(1e-19, 0), math.nextafter(1e-19, 1), 1e100,
                      math.nextafter(1e100, 0), 9.9995e99, 1 / 1024, 0.0, -0.0, 1.0]),
     st.floats(0, 2.2250738585072014e-308),  # subnormals
+    st.integers(0, 10 * 1024).map(lambda k: k / 1024),  # dyadic .9f ties
+    st.integers(0, 10**10).map(lambda k: (k + 0.5) / 1e9),  # beside a half-integer
 )
 
 
@@ -927,6 +929,24 @@ def test_track_multiple_seeds_with_noise(waypoint_file, tmp_path):
     assert a != b
     summaries = json.loads((out / "summary.json").read_text())
     assert [s["seed"] for s in summaries] == [1, 2]
+
+
+def test_track_compiles_one_controller_for_all_seeds(waypoint_file, tmp_path, monkeypatch):
+    built = []
+
+    class Counted(flc.Controller):
+        def __init__(self, spec):
+            built.append(spec)
+            super().__init__(spec)
+
+    monkeypatch.setattr(flc, "Controller", Counted)
+    tracksim.tracker_controller.cache_clear()
+    try:
+        assert main(["track", "--path", waypoint_file, "--seeds", "1,2,3", "--steps", "40",
+                     "--jobs", "1", "--out", str(tmp_path / "o")]) == 0
+    finally:
+        tracksim.tracker_controller.cache_clear()
+    assert len(built) == 1
 
 
 def test_track_bytes_frozen(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,13 @@ from fuzzychip.flc import (
     uniform_partition,
     validate_spec,
 )
-from fuzzychip.flcref import infer_real, infer_real_batch, lift, pair_tables_real
+from fuzzychip.flcref import (
+    active_pair_real,
+    infer_real,
+    infer_real_batch,
+    lift,
+    pair_tables_real,
+)
 from test_flcref import infer_real_full_rulebase
 
 MF = MembershipFunction
@@ -482,6 +489,83 @@ def test_pair_tables_hold_active_pair_of_every_code_on_knot_specs():
         for part, table in zip(spec.partitions, pair_tables(spec)):
             for x in range(1 << spec.in_bits):
                 assert table.at(x) == active_pair(part, x, alpha_bits)
+
+
+def _table_arrays(pairs, deg_dtype) -> list[np.ndarray]:
+    """(left, deg_left, deg_right) of scalar pairs as the arrays a table holds."""
+    return [np.array([p.left for p in pairs], np.intp),
+            np.array([p.deg_left for p in pairs], deg_dtype),
+            np.array([p.deg_right for p in pairs], deg_dtype)]
+
+
+def _assert_tables_exact(spec):
+    """Both models' tables equal the scalar pairs at every code, bit for bit."""
+    codes = range(1 << spec.in_bits)
+    rspec = lift(spec)
+    for part, rpart, table, rtable in zip(spec.partitions, rspec.partitions,
+                                          pair_tables(spec), pair_tables_real(spec, rspec)):
+        for got, pairs, dtype in (
+                (table, [active_pair(part, x, spec.alpha_bits) for x in codes], np.int64),
+                (rtable, [active_pair_real(rpart, x / len(codes)) for x in codes], np.float64)):
+            want = _table_arrays(pairs, dtype)
+            assert [(a.dtype, a.tobytes()) for a in (got.left, got.deg_left, got.deg_right)] \
+                == [(a.dtype, a.tobytes()) for a in want]
+
+
+def test_real_pair_tables_hold_active_pair_real_of_every_code():
+    _assert_tables_exact(random_valid_spec(random.Random(8), n=2, in_bits=6))
+
+
+def test_real_pair_tables_hold_active_pair_real_of_every_code_on_knot_specs():
+    rnd = random.Random(81)
+    for alpha_bits, and_method in ((2, MIN), (2, PROD), (9, PROD)):
+        _assert_tables_exact(random_knot_spec(rnd, 2, 7, alpha_bits, and_method))
+
+
+def _drawn_mf(top: int):
+    code = st.integers(0, top)
+    return st.one_of(
+        st.lists(code, min_size=4, max_size=4).map(sorted),  # repeats: a == b, c == d
+        code.map(lambda x: [x] * 4),  # a single point
+        st.lists(code, min_size=2, max_size=2).map(sorted).map(lambda e: [e[0], *e, e[1]]),
+    ).map(lambda bp: MF(*bp))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), in_bits=st.integers(1, 7), alpha_bits=st.integers(1, 4),
+       m=st.integers(2, 6))
+def test_pair_tables_equal_scalar_on_drawn_partitions(data, in_bits, alpha_bits, m):
+    # any ordered breakpoints, valid or not: degenerate edges, single-point
+    # MFs, and at few alpha bits long edges that floor to 0
+    part = tuple(data.draw(st.lists(_drawn_mf((1 << in_bits) - 1), min_size=m, max_size=m)))
+    _assert_tables_exact(FlcSpec(in_bits=in_bits, out_bits=8, alpha_bits=alpha_bits,
+                                 cons_bits=8, partitions=(part,), singletons=(0,) * m))
+
+
+def test_pair_tables_at_32_alpha_bits_hold_python_ints():
+    spec = random_valid_spec(random.Random(32), n=1, in_bits=6, alpha_bits=32)
+    assert batch_dtype(spec) is object
+    [table] = pair_tables(spec)
+    for x in range(1 << spec.in_bits):
+        want = active_pair(spec.partitions[0], x, spec.alpha_bits)
+        degs = (table.deg_left[x], table.deg_right[x])
+        assert table.left[x] == want.left and degs == (want.deg_left, want.deg_right)
+        assert [type(d) for d in degs] == [int, int]
+
+
+def test_pair_tables_memory_stays_linear_in_the_axis_whatever_m():
+    # 64 MFs over 2^16 codes; a degree matrix of every MF at every code
+    # would take at least 64 units of 8 bytes per code
+    spec = random_valid_spec(random.Random(64), n=1, m=64, in_bits=16)
+    rspec = lift(spec)
+    for build in (lambda: pair_tables(spec), lambda: pair_tables_real(spec, rspec)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * (8 << spec.in_bits)
 
 
 def _raised(fn, *args):
