@@ -319,7 +319,7 @@ def _csv_rows(ints, real, err) -> str:
     ten = np.array(_POW10)
     with np.errstate(all="ignore"):
         p = real * 1e9
-        hi = (c := real * 134217729.0) - (c - real)  # Veltkamp: r's high 26 bits
+        hi = (c := real * (2.0**27 + 1)) - (c - real)  # Veltkamp: r's high 26 bits
         e = hi * 1e9 - p + (real - hi) * 1e9  # r * 1e9 == p + e exactly
         fix = np.where((p - np.floor(p) == 0.5) & (e != 0), p + np.copysign(0.5, e), np.rint(p))
         fix_ok = ~np.signbit(real) & (fix < 1e10)

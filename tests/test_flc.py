@@ -527,7 +527,8 @@ def _drawn_mf(top: int):
     return st.one_of(
         st.lists(code, min_size=4, max_size=4).map(sorted),  # repeats: a == b, c == d
         code.map(lambda x: [x] * 4),  # a single point
-        st.lists(code, min_size=2, max_size=2).map(sorted).map(lambda e: [e[0], *e, e[1]]),
+        st.lists(code, min_size=2, max_size=2).map(sorted)
+        .map(lambda e: [e[0], *e, e[1]]),  # a rectangle: a == b and c == d
     ).map(lambda bp: MF(*bp))
 
 
