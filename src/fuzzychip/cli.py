@@ -15,6 +15,7 @@ FUZZYCHIP_LOG=debug|info|warning for progress logging on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -62,17 +63,17 @@ def _setup_logging() -> None:
 # ---- deterministic file plumbing ----
 
 
-def _write_chunks(path: str, chunks) -> None:
-    """Atomic write of an iterable of str chunks: a reader never observes a
-    half-written result, and a write that fails (also inside the iterable)
-    leaves no temp file. An OSError exits 2."""
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file opened for writing whose content appears at path only
+    when the block ends: a reader never observes a half-written result, and
+    a write that fails (also inside the block) leaves no temp file. An
+    OSError exits 2."""
     tmp = path + ".tmp"
-    size = 0
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-                size += len(chunk)
+            yield fh
+            size = fh.tell()
         os.replace(tmp, path)
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
@@ -80,6 +81,11 @@ def _write_chunks(path: str, chunks) -> None:
         if os.path.isfile(tmp):
             os.remove(tmp)
     log.info("wrote %s (%d bytes)", path, size)
+
+
+def _write_chunks(path: str, chunks) -> None:
+    with _atomic_file(path) as fh:
+        fh.writelines(chunks)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -441,17 +447,25 @@ def _fitness(cfg: ga.GaConfig, problem: str | problems.TspInstance):
     return problems.TspFitness(problem, cfg.genom_lngt, cfg.score_sz)
 
 
+GA_LOG_BLOCK = 1 << 10  # generations_NNN.csv rows per write
+
+
 def _ga_payload(cfg: ga.GaConfig, fit, index: int, out_dir: str) -> str:
     """One GA run; writes generations_NNN.csv and result_NNN.json into
-    out_dir and returns the stdout line."""
-    rows = ["generation,best_score,mean_score,best_genome"]
+    out_dir and returns the stdout line. The log streams to its temp file
+    in blocks of GA_LOG_BLOCK rows, so memory does not grow with max_gen."""
+    with _atomic_file(os.path.join(out_dir, f"generations_{index:03d}.csv")) as fh:
+        rows = ["generation,best_score,mean_score,best_genome\n"]
+        def observe(gen: int, pop: ga.Population) -> None:
+            best = pop.best_index()
+            mean = sum(pop.scores) / len(pop.scores)
+            rows.append(f"{gen},{pop.scores[best]},{mean:.3f},0x{pop.genomes[best]:X}\n")
+            if len(rows) == GA_LOG_BLOCK:
+                fh.writelines(rows)
+                rows.clear()
 
-    def observe(gen: int, pop: ga.Population) -> None:
-        best = pop.best_index()
-        mean = sum(pop.scores) / len(pop.scores)
-        rows.append(f"{gen},{pop.scores[best]},{mean:.3f},0x{pop.genomes[best]:X}")
-
-    result = ga.run(cfg, fit, on_generation=observe)
+        result = ga.run(cfg, fit, on_generation=observe)
+        fh.writelines(rows)
     doc = {
         "best_genome": f"0x{result.best_genome:X}",
         "best_score": result.best_score,
@@ -474,7 +488,6 @@ def _ga_payload(cfg: ga.GaConfig, fit, index: int, out_dir: str) -> str:
         doc["tour_length"] = problems.tour_length(fit.inst, tour)
         line = (f"run {index:03d}: length={doc['tour_length']} "
                 f"tour={'-'.join(str(c) for c in tour)} stop={result.stop_reason}")
-    _write_text(os.path.join(out_dir, f"generations_{index:03d}.csv"), "\n".join(rows) + "\n")
     _write_text(os.path.join(out_dir, f"result_{index:03d}.json"), _json_text(doc))
     return line
 
@@ -522,24 +535,22 @@ def _track_payload(path, noise, seed, steps, start, out_path) -> dict:
     from . import tracksim
     start_pose = tracksim.Pose(*start) if start else None
     summary = {"seed": seed, "rows": 0}
-    last = None
-    max_e_d = max_kappa = 0.0
+    last, max_e_d, max_kappa = None, 0.0, 0.0
 
-    def fold(rows):
+    def fold(rows):  # rows in TRACE_HEADER order: x is 1, y 2, e_d 7, kappa 9
         nonlocal last, max_e_d, max_kappa
         for last in rows:
             summary["rows"] += 1
-            max_e_d = max(max_e_d, abs(last.e_d))
-            max_kappa = max(max_kappa, abs(last.kappa))
+            max_e_d = max(max_e_d, abs(last[7]))
+            max_kappa = max(max_kappa, abs(last[9]))
             yield last
 
     rows = tracksim.trace_rows(path, tracksim.TrackerParams(), start_pose, noise, seed, steps)
     _write_chunks(out_path, tracksim.csv_chunks(fold(rows)))
     if last is not None:  # else the start pose is already beside the final sample
         summary.update(
-            final_e_d_mm=round(last.e_d, 6),
-            final_path_distance_mm=round(
-                tracksim.path_distance(path, last.pose.x, last.pose.y), 6),
+            final_e_d_mm=round(last[7], 6),
+            final_path_distance_mm=round(tracksim.path_distance(path, last[1], last[2]), 6),
             max_abs_e_d_mm=round(max_e_d, 6),
             max_abs_kappa=round(max_kappa, 9))
     return summary

@@ -296,61 +296,89 @@ class TraceLog:
     path: PathSamples
 
     def to_csv_text(self) -> str:
-        return "".join(csv_chunks(self.rows))
+        return "".join(csv_chunks(
+            (r.t, r.pose.x, r.pose.y, r.pose.theta, r.pose_est.x, r.pose_est.y,
+             r.pose_est.theta, r.e_d, r.e_theta, r.kappa) for r in self.rows))
 
 
 def csv_chunks(rows):
-    """Trace CSV text: the header, then one chunk per NOISE_BLOCK rows."""
+    """Trace CSV text from rows in TRACE_HEADER order: the header, then one
+    chunk per NOISE_BLOCK rows."""
     yield TRACE_HEADER + "\n"
     rows = iter(rows)
     while block := list(itertools.islice(rows, NOISE_BLOCK)):
-        yield "".join([_ROW_FORMAT % (
-            r.t, r.pose.x, r.pose.y, r.pose.theta,
-            r.pose_est.x, r.pose_est.y, r.pose_est.theta, r.e_d, r.e_theta, r.kappa)
-            for r in block])
+        yield "".join([_ROW_FORMAT % r for r in block])
 
 
 def trace_rows(path: PathSamples, params: TrackerParams, start: Pose | None = None,
                noise: tuple[float, float] = (0.0, 0.0), seed: int = 0, steps: int = 20000):
-    """Closed-loop run on a resampled path, one TraceRow per control step,
-    until the estimate's closest sample is the final one or `steps` is
-    exhausted.
+    """Closed-loop run on a resampled path, one TRACE_HEADER-ordered tuple
+    per control step, until the estimate's closest sample is the final one
+    or `steps` is exhausted.
 
     noise = (sigma_d, sigma_theta): per-step distance error is drawn with
     standard deviation sigma_d * (v * dt), i.e. sigma_d is expressed per mm
     traveled and applied along the estimated heading; sigma_theta is the
-    per-step heading error (rad). Both perturb only the estimate. The start
-    pose defaults to the first sample, aligned with the initial tangent.
-    The noise is drawn in blocks of NOISE_BLOCK (d, theta) rows, the same
-    draws in the same order as two scalar rng.normal calls per step."""
+    per-step heading error (rad). Both perturb only the estimate, and are
+    drawn in blocks of NOISE_BLOCK (d, theta) rows, the same draws in the
+    same order as two scalar rng.normal calls per step. closest_point,
+    spatial_window_command and step_kinematics are lowered into float
+    arithmetic in the same operation order; e_d stays path.frame's numpy."""
     ctl = tracker_controller(params)
-    maps = error_maps(params)
+    (d_lo, d_span, d_top), (t_lo, t_span, t_top) = (
+        (m.lo, m.hi - m.lo, m.top) for m in error_maps(params))
     rng = np.random.default_rng(seed)
-    sigma_d, sigma_theta = noise
-    scale = (sigma_d * params.v * params.dt, sigma_theta)
-
-    if start is None:
-        tx, ty = _tangent(path, 0)
-        start = Pose(float(path.points[0, 0]), float(path.points[0, 1]), math.atan2(ty, tx))
-    true = est = start
-
-    last = len(path) - 1
+    v, dt, window, k_max = params.v, params.dt, params.window, params.kappa_max
+    scale = (noise[0] * v * dt, noise[1])
+    pi, tau, cos, sin = math.pi, 2.0 * math.pi, math.cos, math.sin
+    floor, ceil, half = math.floor, math.ceil, 1 << (_OUT_BITS - 1)
+    if start is None:  # the first sample, aligned with the initial tangent
+        start = Pose(*map(float, path.points[0]), path.frame(0)[4])
+    x, y, th = ex, ey, eth = start.x, start.y, start.theta
+    (xs, ys), frame, size = path.columns, path.frame, len(path)
     for k in range(steps):
-        idx = closest_point(path, est)
-        if idx == last:
+        d2 = xs - ex
+        d2 *= d2
+        dy = ys - ey
+        dy *= dy
+        d2 += dy
+        idx = int(d2.argmin())
+        if idx == size - 1:
             return
-        kappa, (e_d, e_t) = spatial_window_command(path, idx, est, params, ctl, maps)
-        yield TraceRow(k * params.dt, true, est, e_d, e_t, kappa)
-        true = step_kinematics(true, params.v, kappa, params.dt)
-        est = step_kinematics(est, params.v, kappa, params.dt)
-        if k % NOISE_BLOCK == 0:
+        total = 0.0
+        stop = min(idx + window, size)
+        for j in range(idx, stop):
+            px, py, tx, ty, heading = frame(j)
+            e_d = tx * (py - ey) - ty * (px - ex)
+            e_t = pi - (pi - (heading - eth)) % tau  # wrap_angle, inlined
+            if e_t <= -pi:
+                e_t += tau
+            if j == idx:
+                row_d, row_t = e_d, e_t
+            q = (e_d - d_lo) / d_span * d_top  # quantize_code, inlined
+            q = floor(q + 0.5) if q >= 0 else ceil(q - 0.5)
+            r = (e_t - t_lo) / t_span * t_top
+            r = floor(r + 0.5) if r >= 0 else ceil(r - 0.5)
+            code = ctl((0 if q < 0 else d_top if q > d_top else q,
+                        0 if r < 0 else t_top if r > t_top else r))
+            total += (code - half) / half * k_max
+        kappa = min(max(total / (stop - idx), -k_max), k_max)
+        yield (k * dt, x, y, th, ex, ey, eth, row_d, row_t, kappa)
+        if v <= 0:
+            raise ForwardOnly(f"speed must be positive, got {v}")
+        dth = v * kappa * dt
+        x, y, th = x + v * cos(th) * dt, y + v * sin(th) * dt, pi - (pi - (th + dth)) % tau
+        if th <= -pi:
+            th += tau
+        ex, ey, eth = ex + v * cos(eth) * dt, ey + v * sin(eth) * dt, pi - (pi - (eth + dth)) % tau
+        if eth <= -pi:
+            eth += tau
+        if not (i := k % NOISE_BLOCK):
             draws = rng.normal(0.0, scale, size=(min(steps - k, NOISE_BLOCK), 2)).tolist()
-        eps_d, eps_t = draws[k % NOISE_BLOCK]
-        est = Pose(
-            est.x + eps_d * math.cos(est.theta),
-            est.y + eps_d * math.sin(est.theta),
-            wrap_angle(est.theta + eps_t),
-        )
+        eps_d, eps_t = draws[i]
+        ex, ey, eth = ex + eps_d * cos(eth), ey + eps_d * sin(eth), pi - (pi - (eth + eps_t)) % tau
+        if eth <= -pi:
+            eth += tau
 
 
 def simulate(waypoints, params: TrackerParams, start: Pose | None = None,
@@ -358,7 +386,8 @@ def simulate(waypoints, params: TrackerParams, start: Pose | None = None,
              spacing: float = 100.0) -> TraceLog:
     """trace_rows on the waypoints resampled at `spacing`, kept as a TraceLog."""
     path = interpolate_path(waypoints, spacing)
-    return TraceLog(tuple(trace_rows(path, params, start, noise, seed, steps)), path)
+    return TraceLog(tuple(TraceRow(r[0], Pose(*r[1:4]), Pose(*r[4:7]), *r[7:])
+                          for r in trace_rows(path, params, start, noise, seed, steps)), path)
 
 
 # ---- canned geometries ----

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -803,6 +804,49 @@ def test_tsp_run(tsp_config_file, burma_file, tmp_path, capsys):
     assert manifest["command"] == "ga"
 
 
+def test_ga_log_memory_flat_in_max_gen(burma_file, tmp_path):
+    # 1024-bit genomes make each log row about 280 bytes; a fitness limit
+    # above every 16-bit score runs the whole max_gen. Keeping the rows
+    # cost 2.7 MB between 1024 and 4096 generations
+    cfg = tmp_path / "wide.json"
+    ga.dump_config(ga.GaConfig(genom_lngt=1024, pop_sz=2, elite=0,
+                               fitness_limit=1 << 16), cfg)
+    argv = ["ga", "--config", str(cfg), "--instance", burma_file, "--jobs", "1", "--out"]
+    assert main(argv + [str(tmp_path / "warm"), "--max-gen", "0"]) == 0  # orbit, imports
+    peaks = []
+    for max_gen in (1024, 4096):
+        out = tmp_path / str(max_gen)
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(out), "--max-gen", str(max_gen)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows = (out / "generations_000.csv").read_text().split("\n")
+        assert len(rows) == max_gen + 3  # header, generations 0..max_gen, final newline
+    assert peaks[1] - peaks[0] < 256 * 2**10, peaks
+
+
+def test_ga_failed_run_leaves_no_log(ga_config_file, tmp_path, monkeypatch):
+    # the log streams to its temp file; a run that dies past the first
+    # written block must remove it
+    run = ga.run
+
+    def dying_run(cfg, fit, on_generation):
+        def observe(gen, pop):
+            if gen == 3 * cli.GA_LOG_BLOCK:
+                raise RuntimeError("stop")
+            on_generation(gen, pop)
+        return run(cfg, fit, on_generation=observe)
+
+    monkeypatch.setattr(ga, "run", dying_run)
+    out = tmp_path / "o"
+    with pytest.raises(RuntimeError):
+        main(["ga", "--config", ga_config_file, "--fn", "sphere", "--max-gen", "5000",
+              "--jobs", "1", "--out", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_tsp_rejects_narrow_genome(ga_config_file, burma_file, tmp_path, capsys):
     # 16-bit genomes cannot index 14! tours
     out = tmp_path / "o"
@@ -962,6 +1006,15 @@ def test_track_bytes_frozen(tmp_path, capsys):
         h.update((out / name).read_bytes())
     h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == "2c1a74f21cdcb6c28d4b6348c2c3763c16862af36a58279013527c1d54d52b50"
+
+
+def test_track_start_beside_final_sample_writes_header_only(waypoint_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["track", "--path", waypoint_file, "--start", "3100,40,1",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "seed 0: rows=0 final_path_distance=n/a\n"
+    assert (out / "trace_000.csv").read_text() == TRACE_HEADER + "\n"
+    assert json.loads((out / "summary.json").read_text()) == [{"seed": 0, "rows": 0}]
 
 
 def test_track_bad_waypoints(tmp_path, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzychip import flc
@@ -33,6 +33,8 @@ from fuzzychip.tracksim import (
     spatial_window_command,
     step_kinematics,
     straight_waypoints,
+    trace_rows,
+    tracker_controller,
     tracking_errors,
     wrap_angle,
 )
@@ -439,6 +441,78 @@ def test_simulate_noise_blocks_match_scalar_draws(steps):
     trace = _assert_matches_reference(_SQUARE, TrackerParams(window=2),
                                       noise=(0.1, 0.002), seed=steps, steps=steps)
     assert len(trace.rows) == steps  # so every block edge below steps is crossed
+
+
+# ---- the lowered loop against its specification ----
+
+
+def _composed_rows(path, params, start, noise, seed, steps):
+    """trace_rows as the specification functions compose it: closest_point,
+    spatial_window_command and two step_kinematics per step, then the
+    estimate's noise from blocks of NOISE_BLOCK rng.normal rows."""
+    ctl = tracker_controller(params)
+    maps = error_maps(params)
+    rng = np.random.default_rng(seed)
+    scale = (noise[0] * params.v * params.dt, noise[1])
+    if start is None:
+        start = Pose(float(path.points[0, 0]), float(path.points[0, 1]), path.frame(0)[4])
+    true = est = start
+    rows = []
+    for k in range(steps):
+        idx = closest_point(path, est)
+        if idx == len(path) - 1:
+            break
+        kappa, (e_d, e_t) = spatial_window_command(path, idx, est, params, ctl, maps)
+        rows.append((k * params.dt, true.x, true.y, true.theta,
+                     est.x, est.y, est.theta, e_d, e_t, kappa))
+        true = step_kinematics(true, params.v, kappa, params.dt)
+        est = step_kinematics(est, params.v, kappa, params.dt)
+        if k % NOISE_BLOCK == 0:
+            draws = rng.normal(0.0, scale, size=(min(steps - k, NOISE_BLOCK), 2)).tolist()
+        eps_d, eps_t = draws[k % NOISE_BLOCK]
+        est = Pose(est.x + eps_d * math.cos(est.theta), est.y + eps_d * math.sin(est.theta),
+                   wrap_angle(est.theta + eps_t))
+    return rows
+
+
+@settings(max_examples=30)
+@given(
+    waypoints=st.sampled_from([_SQUARE, _LOOP_WAYPOINTS, s_curve_waypoints()]),
+    window=st.integers(1, 3),
+    noise=st.sampled_from([(0.0, 0.0), (0.1, 0.002), (0.5, 0.0)]),
+    start=st.one_of(st.none(), st.builds(Pose, st.floats(-500.0, 3500.0),
+                                         st.floats(-500.0, 3500.0),
+                                         st.floats(-math.pi, math.pi))),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.sampled_from([NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1]),
+)
+def test_trace_rows_equal_composed_specification(waypoints, window, noise, start, seed, steps):
+    path = interpolate_path(waypoints, 100.0)
+    params = TrackerParams(window=window)
+    rows = list(trace_rows(path, params, start, noise, seed, steps))
+    expect = _composed_rows(path, params, start, noise, seed, steps)
+    assert rows == expect
+    assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in expect]
+    assert all(type(r[7]) is np.float64 for r in rows)  # summary.json rounds it with numpy
+
+
+@pytest.mark.parametrize("v", [0.0, -1.0])
+def test_simulate_without_forward_speed_raises_at_first_step(v):
+    with pytest.raises(ForwardOnly):
+        simulate(straight_waypoints(3000.0), TrackerParams(v=v))
+    rows = trace_rows(interpolate_path(straight_waypoints(3000.0), 100.0), TrackerParams(v=v))
+    assert next(rows)[0] == 0.0  # the first row comes before the first kinematics step
+    with pytest.raises(ForwardOnly):
+        next(rows)
+
+
+@pytest.mark.parametrize("v", [300.0, 0.0])
+def test_start_beside_final_sample_yields_no_rows(v):
+    waypoints = straight_waypoints(3000.0)
+    start = Pose(3100.0, 40.0, 1.0)  # nearest sample is the final one, (3000, 0)
+    trace = simulate(waypoints, TrackerParams(v=v), start=start)
+    assert trace.rows == ()
+    assert trace.to_csv_text() == TRACE_HEADER + "\n"
 
 
 def test_frame_memo_equals_tangent_everywhere():
