@@ -83,13 +83,9 @@ def _atomic_file(path: str):
     log.info("wrote %s (%d bytes)", path, size)
 
 
-def _write_chunks(path: str, chunks) -> None:
-    with _atomic_file(path) as fh:
-        fh.writelines(chunks)
-
-
 def _write_text(path: str, text: str) -> None:
-    _write_chunks(path, (text,))
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _json_text(doc) -> str:
@@ -406,7 +402,8 @@ def cmd_flc_sweep(args) -> int:
     out_dir = _prepare_out_dir(args)
     _write_manifest(out_dir, "flc sweep", args.argv, args.spec, None, ["sweep.csv"])
     try:
-        _write_chunks(os.path.join(out_dir, "sweep.csv"), _sweep_chunks(spec))
+        with _atomic_file(os.path.join(out_dir, "sweep.csv")) as fh:
+            fh.writelines(_sweep_chunks(spec))
     except flc.DenominatorZero as exc:
         raise CliError(EXIT_INVALID, str(exc)) from exc
     print(f"sweep.csv: {rows} rows")
@@ -456,6 +453,7 @@ def _ga_payload(cfg: ga.GaConfig, fit, index: int, out_dir: str) -> str:
     in blocks of GA_LOG_BLOCK rows, so memory does not grow with max_gen."""
     with _atomic_file(os.path.join(out_dir, f"generations_{index:03d}.csv")) as fh:
         rows = ["generation,best_score,mean_score,best_genome\n"]
+
         def observe(gen: int, pop: ga.Population) -> None:
             best = pop.best_index()
             mean = sum(pop.scores) / len(pop.scores)
@@ -524,8 +522,9 @@ def cmd_ga(args) -> int:
 # longest resampled path track accepts, in samples (the sweep's row cap);
 # interpolate_path and each nearest-sample search grow with it
 TRACK_MAX_SAMPLES = 1 << 20
-# largest --steps track accepts: about 2.4 times the 7M steps of 15 mm along
-# the longest path (2^20 samples of 100 mm), about 9 minutes at 33 us a step
+# largest --steps track accepts: 2.4 times the 7M 15-mm steps along the longest
+# path (2^20 samples of 100 mm); 9 minutes at 31 us a step on the S course, but
+# each nearest-sample search grows with the path: 5 ms a step at 2^20 samples
 TRACK_MAX_STEPS = 1 << 24
 
 
@@ -535,7 +534,8 @@ def _track_payload(path, noise, seed, steps, start, out_path) -> dict:
     from . import tracksim
     start_pose = tracksim.Pose(*start) if start else None
     summary = {"seed": seed, "rows": 0}
-    last, max_e_d, max_kappa = None, 0.0, 0.0
+    last = None
+    max_e_d = max_kappa = 0.0
 
     def fold(rows):  # rows in TRACE_HEADER order: x is 1, y 2, e_d 7, kappa 9
         nonlocal last, max_e_d, max_kappa
@@ -546,7 +546,8 @@ def _track_payload(path, noise, seed, steps, start, out_path) -> dict:
             yield last
 
     rows = tracksim.trace_rows(path, tracksim.TrackerParams(), start_pose, noise, seed, steps)
-    _write_chunks(out_path, tracksim.csv_chunks(fold(rows)))
+    with _atomic_file(out_path) as fh:
+        fh.writelines(tracksim.csv_chunks(fold(rows)))
     if last is not None:  # else the start pose is already beside the final sample
         summary.update(
             final_e_d_mm=round(last[7], 6),

@@ -302,12 +302,11 @@ class TraceLog:
 
 
 def csv_chunks(rows):
-    """Trace CSV text from rows in TRACE_HEADER order: the header, then one
-    chunk per NOISE_BLOCK rows."""
+    """Trace CSV text: the header, then one chunk per NOISE_BLOCK rows."""
     yield TRACE_HEADER + "\n"
     rows = iter(rows)
-    while block := list(itertools.islice(rows, NOISE_BLOCK)):
-        yield "".join([_ROW_FORMAT % r for r in block])
+    while block := [_ROW_FORMAT % r for r in itertools.islice(rows, NOISE_BLOCK)]:
+        yield "".join(block)
 
 
 def trace_rows(path: PathSamples, params: TrackerParams, start: Pose | None = None,
