@@ -523,7 +523,7 @@ def cmd_ga(args) -> int:
 # interpolate_path and each nearest-sample search grow with it
 TRACK_MAX_SAMPLES = 1 << 20
 # largest --steps track accepts: 2.4 times the 7M 15-mm steps along the longest
-# path (2^20 samples of 100 mm); 9 minutes at 31 us a step on the S course, but
+# path (2^20 samples of 100 mm); 9 minutes at 33 us a step on the S course, but
 # each nearest-sample search grows with the path: 5 ms a step at 2^20 samples
 TRACK_MAX_STEPS = 1 << 24
 
