@@ -22,8 +22,9 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING, Sequence
 
-from . import __version__, flc, ga, problems
+from . import __version__, flc
 from .flcref import (
     infer_real,
     infer_real_batch,
@@ -31,6 +32,9 @@ from .flcref import (
     pair_tables_real,
     quantization_bound,
 )
+
+if TYPE_CHECKING:  # the GA modules load only for the ga command
+    from . import ga
 
 log = logging.getLogger("fuzzychip")
 
@@ -436,14 +440,6 @@ def _fan_out(fn, calls: list[tuple], jobs: int) -> list:
         return list(pool.map(fn, *zip(*calls)))
 
 
-def _fitness(cfg: ga.GaConfig, problem: str | problems.TspInstance):
-    """The GA fitness of a benchmark name or a TSP instance; ValueError when
-    the config's genome width cannot encode it."""
-    if isinstance(problem, str):
-        return problems.BenchmarkFitness(problem, cfg.score_sz, cfg.genom_lngt)
-    return problems.TspFitness(problem, cfg.genom_lngt, cfg.score_sz)
-
-
 GA_LOG_BLOCK = 1 << 10  # generations_NNN.csv rows per write
 
 
@@ -451,6 +447,7 @@ def _ga_payload(cfg: ga.GaConfig, fit, index: int, out_dir: str) -> str:
     """One GA run; writes generations_NNN.csv and result_NNN.json into
     out_dir and returns the stdout line. The log streams to its temp file
     in blocks of GA_LOG_BLOCK rows, so memory does not grow with max_gen."""
+    from . import ga, problems
     with _atomic_file(os.path.join(out_dir, f"generations_{index:03d}.csv")) as fh:
         rows = ["generation,best_score,mean_score,best_genome\n"]
 
@@ -491,6 +488,7 @@ def _ga_payload(cfg: ga.GaConfig, fit, index: int, out_dir: str) -> str:
 
 
 def cmd_ga(args) -> int:
+    from . import ga, problems
     problem = args.fn or _load(args.instance, problems.load_tsplib)
     cfg = _load(args.config, ga.load_config)
     if args.max_gen is not None:
@@ -500,8 +498,9 @@ def cmd_ga(args) -> int:
         found = run_cfg.problems()
         if found:
             raise CliError(EXIT_INVALID, "; ".join(found))
-    try:
-        fit = _fitness(cfg, problem)
+    try:  # ValueError: the genome width cannot encode the problem
+        fit = (problems.BenchmarkFitness(problem, cfg.score_sz, cfg.genom_lngt) if args.fn
+               else problems.TspFitness(problem, cfg.genom_lngt, cfg.score_sz))
     except ValueError as exc:
         raise CliError(EXIT_INVALID, str(exc)) from exc
 
@@ -523,9 +522,12 @@ def cmd_ga(args) -> int:
 # interpolate_path and each nearest-sample search grow with it
 TRACK_MAX_SAMPLES = 1 << 20
 # largest --steps track accepts: 2.4 times the 7M 15-mm steps along the longest
-# path (2^20 samples of 100 mm); 9 minutes at 33 us a step on the S course, but
-# each nearest-sample search grows with the path: 5 ms a step at 2^20 samples
+# path (2^20 samples of 100 mm); 9 minutes at 33 us a step on the S course
 TRACK_MAX_STEPS = 1 << 24
+# largest --steps times resampled samples: each step's nearest-sample search
+# scans the whole path (3.5 ms a step at 2^20 samples), so this keeps a run to
+# minutes: about 2 for 2^15 steps of 2^20 samples, 4 for 2^24 steps of 2^11
+TRACK_MAX_WORK = 1 << 35
 
 
 def _track_payload(path, noise, seed, steps, start, out_path) -> dict:
@@ -571,6 +573,9 @@ def cmd_track(args) -> int:
         path = tracksim.interpolate_path(waypoints, args.spacing)
     except ValueError as exc:  # fewer than two distinct waypoints
         raise CliError(EXIT_INVALID, f"{args.path}: {exc}") from exc
+    if args.steps * len(path) > TRACK_MAX_WORK:
+        raise CliError(EXIT_INVALID, f"--steps {args.steps} on {len(path)} path samples is "
+                                     f"more than {TRACK_MAX_WORK} steps times samples")
 
     seeds = list(args.seeds) if args.seeds else [0]
     out_dir = _prepare_out_dir(args)
@@ -619,64 +624,80 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_IO, f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """Adds the flags of a leaf command (`flc eval`, `ga`, ...) to its parser."""
+    if command == "ga":
+        from . import problems
+        p.add_argument("--config", required=True)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--fn", choices=sorted(problems.BENCHMARKS))
+        src.add_argument("--instance")
+        p.add_argument("--seeds", type=_seed_set, action="append",
+                       help="4 comma-separated seeds; repeat for multiple runs")
+        p.add_argument("--max-gen", type=int, default=None)
+    elif command == "track":
+        p.add_argument("--path", required=True, help="waypoint file, 'x y' per line")
+        p.add_argument("--noise", type=_noise_pair, default=(0.0, 0.0))
+        p.add_argument("--seeds", type=_seed_list, help="one run per seed")
+        p.add_argument("--steps", type=int, default=20000)
+        p.add_argument("--spacing", type=float, default=100.0)
+        p.add_argument("--start", type=_pose_triple, default=None,
+                       help="x,y,theta start pose (default: path start)")
+    elif command == "rerun":
+        p.add_argument("manifest")
+    else:  # flc <sub>
+        p.add_argument("--spec", required=True)
+    if command == "flc eval":
+        p.add_argument("--input", type=_int_list, help="input codes, e.g. 2048,1024")
+    if command in ("flc sweep", "ga", "track"):
+        p.add_argument("--out", required=True)
+    if command in ("ga", "track"):
+        p.add_argument("--jobs", type=_job_count, default=1)
+
+
+# word -> (help, function or subcommand table); builds the full and the pruned tree
+_COMMANDS = {
+    "flc": ("fuzzy inference engine", {
+        "validate": ("check a spec file", cmd_flc_validate),
+        "eval": ("evaluate one input vector", cmd_flc_eval),
+        "timing": ("pipeline latency and sample rate", cmd_flc_timing),
+        "sweep": ("full input-grid CSV (1 or 2 inputs)", cmd_flc_sweep),
+    }),
+    "ga": ("GA run on a benchmark or TSP instance", cmd_ga),
+    "track": ("closed-loop path tracking simulation", cmd_track),
+    "rerun": ("replay a manifest byte-identically", cmd_rerun),
+}
+
+
+def _add_commands(parser, table: dict, argv: Sequence[str], path: tuple = (),
+                  fill: bool = True) -> None:
+    """Adds table's commands to parser: only the one argv[0] names, narrowed
+    below by argv[1:] alike, or else all of them; with fill false, bare."""
+    sub = parser.add_subparsers(dest="_".join((*path, "command")), required=True)
+    named = bool(argv) and argv[0] in table
+    for name in argv[:1] if named else table:
+        help_text, target = table[name]
+        p = sub.add_parser(name, help=help_text)
+        if fill and isinstance(target, dict):
+            _add_commands(p, target, argv[1:] if named else (), (*path, name))
+        elif fill:
+            _add_arguments(p, " ".join((*path, name)))
+            p.set_defaults(func=target)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The root parser and the parsers of the command argv names (`flc eval`
+    builds root, flc and eval); a word that names no command builds its level
+    and all below in full, so help and usage errors read as with the full tree."""
     parser = _Parser(
         prog="fuzzychip",
         description="Fixed-point fuzzy inference, hardware-style GA, and "
                     "path-tracking simulation.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_flc = sub.add_parser("flc", help="fuzzy inference engine")
-    flc_sub = p_flc.add_subparsers(dest="flc_command", required=True)
-
-    p = flc_sub.add_parser("validate", help="check a spec file")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_flc_validate)
-
-    p = flc_sub.add_parser("eval", help="evaluate one input vector")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--input", type=_int_list, help="input codes, e.g. 2048,1024")
-    p.set_defaults(func=cmd_flc_eval)
-
-    p = flc_sub.add_parser("timing", help="pipeline latency and sample rate")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_flc_timing)
-
-    p = flc_sub.add_parser("sweep", help="full input-grid CSV (1 or 2 inputs)")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_flc_sweep)
-
-    p = sub.add_parser("ga", help="GA run on a benchmark or TSP instance")
-    p.add_argument("--config", required=True)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--fn", choices=sorted(problems.BENCHMARKS))
-    src.add_argument("--instance")
-    p.add_argument("--seeds", type=_seed_set, action="append",
-                   help="4 comma-separated seeds; repeat for multiple runs")
-    p.add_argument("--max-gen", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_job_count, default=1)
-    p.set_defaults(func=cmd_ga)
-
-    p = sub.add_parser("track", help="closed-loop path tracking simulation")
-    p.add_argument("--path", required=True, help="waypoint file, 'x y' per line")
-    p.add_argument("--noise", type=_noise_pair, default=(0.0, 0.0))
-    p.add_argument("--seeds", type=_seed_list, help="one run per seed")
-    p.add_argument("--steps", type=int, default=20000)
-    p.add_argument("--spacing", type=float, default=100.0)
-    p.add_argument("--start", type=_pose_triple, default=None,
-                   help="x,y,theta start pose (default: path start)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_job_count, default=1)
-    p.set_defaults(func=cmd_track)
-
-    p = sub.add_parser("rerun", help="replay a manifest byte-identically")
-    p.add_argument("manifest")
-    p.set_defaults(func=cmd_rerun)
-
+    # --help and --version exit before any command is entered: list them bare
+    exits = bool(argv) and argv[0] in ("-h", "--help", "--version")
+    _add_commands(parser, _COMMANDS, argv, fill=not exits)
     return parser
 
 
@@ -685,7 +706,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     _setup_logging()
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         args.argv = list(argv)
         return args.func(args)
     except CliError as exc:

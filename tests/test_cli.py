@@ -144,7 +144,8 @@ def test_module_entry_point():
 COLD_START = r"""
 import contextlib, io, json, sys
 
-HEAVY = ("numpy", "fuzzychip.tracksim", "concurrent.futures.process")
+HEAVY = ("numpy", "fuzzychip.tracksim", "concurrent.futures.process", "fuzzychip.ga",
+         "fuzzychip.problems")
 
 
 def loaded():
@@ -227,6 +228,68 @@ def test_help_still_exits_zero(capsys):
         main(["ga", "--help"])
     assert exc.value.code == 0
     assert "--instance" in capsys.readouterr().out
+
+
+_EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+
+# command line -> (exit code, sha256 of stdout, stderr) at 80 columns; the
+# parser builds only the subtree a command line names, and these hold it to
+# the bytes of the full tree
+FROZEN_HELP_AND_USAGE = {
+    "--help": (0, "cbf425bf68bfb548cf50c84777b34fed3dcc2530d1f73165383f79c686fcaa50", ""),
+    "flc --help": (0, "68165098033438ff080357840c0819e0062b7a3021f14e7774d2731dc7dd910b", ""),
+    "flc validate --help": (
+        0, "51b1a95e09788c3644d8b5349cd4817602815f320a9df5061fb855e2c5d8b8df", ""),
+    "flc eval --help": (
+        0, "0083b0c02ef914239942e1e52480ee6cad85a5d5eb0f392cb7a20cd0eb2e9b45", ""),
+    "flc timing --help": (
+        0, "e64ebb6bf2d984022969904ad42ffd01cde145ee9714833e060f0d8cfb6aafa2", ""),
+    "flc sweep --help": (
+        0, "f6a6456853bac65a1200ce392cb112d46d60ab98a8f0f9eb77c07610e977073c", ""),
+    "ga --help": (0, "99986608592a9a053d5f0ed4b21c212c1b98d6357644e9e98505f35a3cb47c34", ""),
+    "track --help": (0, "edb0568ce17d3122c068bfef32a6ad9e2202e6ccdee3b94dc8fd3960f85a3b9b", ""),
+    "rerun --help": (0, "40e0f1ef83bdda4a13c342d4d9ee8142fe57a03360c0632c22d3b7c910171af5", ""),
+    "--version": (0, "e9dd8507f4bf0c6f42458e41aea833ad0bd3f6127272335eee9bf4d58541ed67", ""),
+    "-h flc": (0, "cbf425bf68bfb548cf50c84777b34fed3dcc2530d1f73165383f79c686fcaa50", ""),
+    "": (2, _EMPTY_SHA256, "error: fuzzychip: the following arguments are required: command\n"),
+    "foo": (2, _EMPTY_SHA256, "error: fuzzychip: argument command: invalid choice: 'foo' "
+                              "(choose from 'flc', 'ga', 'track', 'rerun')\n"),
+    "flc": (2, _EMPTY_SHA256,
+            "error: fuzzychip flc: the following arguments are required: flc_command\n"),
+    "flc bogus": (2, _EMPTY_SHA256,
+                  "error: fuzzychip flc: argument flc_command: invalid choice: 'bogus' "
+                  "(choose from 'validate', 'eval', 'timing', 'sweep')\n"),
+    "flc eval": (2, _EMPTY_SHA256,
+                 "error: fuzzychip flc eval: the following arguments are required: --spec\n"),
+    "ga --config c.json --fn sphere --instance i.tsp --out o": (
+        2, _EMPTY_SHA256, "error: fuzzychip ga: argument --instance: not allowed with "
+                          "argument --fn\n"),
+    "ga --fn nosuch": (2, _EMPTY_SHA256,
+                       "error: fuzzychip ga: argument --fn: invalid choice: 'nosuch' "
+                       "(choose from 'rastrigin', 'rosenbrock', 'sphere', 'step')\n"),
+    "track --jobs 0": (2, _EMPTY_SHA256, "error: fuzzychip track: argument --jobs: "
+                                         "expected a job count of at least 1\n"),
+    "flc eval --spec s.json --input a": (
+        2, _EMPTY_SHA256, "error: fuzzychip flc eval: argument --input: "
+                          "expected comma-separated integer codes\n"),
+    "rerun m.json extra": (2, _EMPTY_SHA256, "error: fuzzychip: unrecognized arguments: extra\n"),
+    "-- flc": (2, _EMPTY_SHA256, "error: fuzzychip: argument command: invalid choice: '--' "
+                                 "(choose from 'flc', 'ga', 'track', 'rerun')\n"),
+    "flc --spec s.json": (2, _EMPTY_SHA256,
+                          "error: fuzzychip flc: argument flc_command: invalid choice: "
+                          "'s.json' (choose from 'validate', 'eval', 'timing', 'sweep')\n"),
+}
+
+
+@pytest.mark.parametrize("line", list(FROZEN_HELP_AND_USAGE))
+def test_help_and_usage_bytes_frozen(line, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        code = main(line.split())
+    except SystemExit as exc:  # --help and --version
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == FROZEN_HELP_AND_USAGE[line]
 
 
 # ---- flc validate ----
@@ -1085,6 +1148,18 @@ def test_track_steps_cap_boundary(waypoint_file, tmp_path, monkeypatch, capsys):
     assert main(argv + [str(tmp_path / "b"), "--steps", "4"]) == 1
     assert capsys.readouterr().err == (
         "error: --spacing must be finite and positive, --steps 1 to 3\n")
+    assert not (tmp_path / "b").exists()
+
+
+def test_track_work_cap_boundary(waypoint_file, tmp_path, monkeypatch, capsys):
+    # the 3 m line at 100 mm spacing resamples to 31 samples
+    monkeypatch.setattr(cli, "TRACK_MAX_WORK", 31 * 3)
+    argv = ["track", "--path", waypoint_file, "--out"]
+    assert main(argv + [str(tmp_path / "a"), "--steps", "3"]) == 0
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "b"), "--steps", "4"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --steps 4 on 31 path samples is more than 93 steps times samples\n")
     assert not (tmp_path / "b").exists()
 
 
