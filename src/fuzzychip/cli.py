@@ -271,27 +271,62 @@ _POW10 = tuple(float(10**k) for k in range(97))
 
 
 def _put_digits(slot, v, lead: bool = False) -> None:
-    """Writes the decimal digits of the unsigned ints v into slot, a uint8
-    view with one row per value, units digit in its last column; with lead,
-    the columns before a value's leading digit get 0 (pad) bytes."""
-    last = slot.shape[1] - 1
+    """Writes the decimal digits of the unsigned ints v along the last axis
+    of slot, a uint8 view, units digit last; with lead, the columns before a
+    value's leading digit get 0 (pad) bytes."""
+    last = slot.shape[-1] - 1
     for k in range(last, -1, -1):
         q = v // 10
         d = v - q * 10 + 48
         if lead and k < last:
             d *= v != 0
-        slot[:, k] = d
+        slot[..., k] = d
         v = q
 
 
-def _put_point(slot, v, places: int) -> None:
-    """Writes v / 10^places as `d.ddd` into slot (places + 2 columns), for
-    unsigned ints v below 10^(places + 1)."""
+def _put_texts(slot, rows, texts: list[str]) -> None:
+    """Writes texts into the given rows of slot, right-aligned after 0 bytes."""
     import numpy as np
-    whole = v // 10**places
-    slot[:, 0] = whole + 48
-    slot[:, 1] = ord(".")
-    _put_digits(slot[:, 2:], (v - whole * 10**places).astype(np.uint32))
+    width = slot.shape[-1]
+    cells = "".join(t.rjust(width, "\0") for t in texts).encode()
+    slot[rows] = np.frombuffer(cells, np.uint8).reshape(len(texts), width)
+
+
+def _fixed_cells(v, places: int):
+    """format(x, f'.{places}f') of each float x of the array v, byte for byte,
+    as uint8 cells of shape v.shape + (width,) right-aligned after 0 bytes;
+    the last column is a spare 0 for the caller's separator.
+
+    The digits are |x| * 10^places = p + e rounded half-even: p and its exact
+    error e are Dekker's error-free product (10^places <= 10^9 has <= 21 bits:
+    its own high half), and only a half-integer p reads e; below 2^53 p's rounding
+    settles a tie between integers alike. The sign is the sign bit (-0.0 reads
+    -0.000...). A non-finite x or |x| * 10^places >= 2^53 goes to format."""
+    import numpy as np
+    scale = _POW10[places]
+    a = np.abs(v)
+    with np.errstate(all="ignore"):
+        p = a * scale
+        hi = (c := a * (2.0**27 + 1)) - (c - a)  # Veltkamp: |x|'s high 26 bits
+        e = hi * scale - p + (a - hi) * scale  # |x| * 10^places == p + e exactly
+        n = np.where((p - np.floor(p) == 0.5) & (e != 0), p + np.copysign(0.5, e), np.rint(p))
+    fast = p < 2.0**53  # false for nan and inf
+    slow = np.flatnonzero(~fast)
+    texts = [format(x, f".{places}f") for x in v.flat[slow].tolist()]
+    n.flat[slow] = 0
+    n = n.astype(np.uint64)
+    whole = n // 10**places
+    digits = len(str(int(whole.max())))
+    width = max([digits + places + 2, *map(len, texts)])
+    point = width - places - 1  # the sign and the whole digits come before it
+    cells = np.zeros((*v.shape, width + 1), np.uint8)
+    _put_digits(cells[..., point + 1:-1], (n - whole * 10**places).astype(np.uint32))
+    cells[..., point] = ord(".")
+    _put_digits(cells[..., point - digits:point], whole, lead=True)
+    neg = np.nonzero(np.signbit(v) & fast)
+    cells[(*neg, point - 1 - np.count_nonzero(cells[..., :point][neg], axis=-1))] = ord("-")
+    _put_texts(cells.reshape(-1, width + 1)[:, :-1], slow, texts)
+    return cells
 
 
 def _off_tie(v):
@@ -309,26 +344,19 @@ def _csv_rows(ints, real, err) -> str:
     Each cell is a fixed-width slot of one uint8 matrix, right-aligned
     after 0 bytes that one mask drops at the end. The digits come from
     integers that certify themselves (Loitsch's Grisu3 design):
-    - `.9f` is r * 1e9 = p + e rounded half-even, for r in [0, 10): p and
-      its exact error e are Dekker's error-free product (1e9 has 21 bits,
-      so it is its own high half), and only a half-integer p reads e;
+    - `.9f` is `_fixed_cells(real, 9)`;
     - `.3e` is the mantissa rint(e * 10^(3 - x)) in [1000, 10000] with
       x = floor(log10(e)), for e in [1e-19, 1e100); a mantissa of 10000
       carries into x, and e == 0 is 0.000e+00.
     The `.3e` scaling is off by a few ulps of a value below 1e4. A value
-    outside those ranges, an unrounded mantissa outside [1000, 10000)
-    (log10 off by one beside a power of ten), or a `.3e` scaled value
-    within 1e-6 of a rounding tie is written by Python's format into the
-    same slot instead.
+    outside that range, an unrounded mantissa outside [1000, 10000)
+    (log10 off by one beside a power of ten), or a scaled value within 1e-6
+    of a rounding tie is written by Python's format into the same slot
+    instead.
     """
     import numpy as np
     ten = np.array(_POW10)
     with np.errstate(all="ignore"):
-        p = real * 1e9
-        hi = (c := real * (2.0**27 + 1)) - (c - real)  # Veltkamp: r's high 26 bits
-        e = hi * 1e9 - p + (real - hi) * 1e9  # r * 1e9 == p + e exactly
-        fix = np.where((p - np.floor(p) == 0.5) & (e != 0), p + np.copysign(0.5, e), np.rint(p))
-        fix_ok = ~np.signbit(real) & (fix < 1e10)
         in_range = (err >= 1e-19) & (err < 1e100)
         x = np.clip(np.where(in_range, np.floor(np.log10(err)), 0), -19, 99).astype(np.int64)
         pow10 = ten[np.abs(3 - x)]
@@ -339,32 +367,29 @@ def _csv_rows(ints, real, err) -> str:
         x += carry
         sci_ok = (in_range & (scaled >= 1e3) & (scaled < 1e4) & (x < 100) & _off_tie(scaled)
                   | (err == 0) & ~np.signbit(err))
-    fix_slow = np.flatnonzero(~fix_ok)
     sci_slow = np.flatnonzero(~sci_ok)
-    fix_text = [format(v, ".9f") for v in real[fix_slow].tolist()]
     sci_text = [format(v, ".3e") for v in err[sci_slow].tolist()]
-    fix[fix_slow] = mant[sci_slow] = x[sci_slow] = 0
+    mant[sci_slow] = x[sci_slow] = 0
+    fix = _fixed_cells(real, 9)
 
     ints = [v.astype(np.uint32) for v in ints]
     widths = [len(str(int(v.max()))) for v in ints]
-    widths += [max([11, *map(len, fix_text)]), max([9, *map(len, sci_text)])]
+    widths += [fix.shape[-1], max([9, *map(len, sci_text)])]
     ends = np.cumsum(widths) + np.arange(len(widths))  # one past each slot
     buf = np.zeros((len(real), ends[-1] + 1), np.uint8)
     buf[:, ends[:-1]] = ord(",")
     buf[:, -1] = ord("\n")
     for v, width, end in zip(ints, widths, ends):
         _put_digits(buf[:, end - width:end], v, lead=True)
-    end = ends[-2]
-    _put_point(buf[:, end - 11:end], fix.astype(np.uint64), 9)
-    end = ends[-1]
-    _put_point(buf[:, end - 9:end - 4], mant.astype(np.uint32), 3)
+    buf[:, ends[-2] - widths[-2]:ends[-2]] = fix
+    end, mant = ends[-1], mant.astype(np.uint32)
+    buf[:, end - 9] = mant // 1000 + 48
+    buf[:, end - 8] = ord(".")
+    _put_digits(buf[:, end - 7:end - 4], mant % 1000)
     buf[:, end - 4] = ord("e")
     buf[:, end - 3] = np.where(x < 0, ord("-"), ord("+"))
     _put_digits(buf[:, end - 2:end], np.abs(x).astype(np.uint32))
-    for end, width, rows, texts in ((ends[-2], widths[-2], fix_slow, fix_text),
-                                    (ends[-1], widths[-1], sci_slow, sci_text)):
-        cells = "".join(t.rjust(width, "\0") for t in texts).encode()
-        buf[rows, end - width:end] = np.frombuffer(cells, np.uint8).reshape(len(rows), width)
+    _put_texts(buf[:, end - widths[-1]:end], sci_slow, sci_text)
     return buf[buf != 0].tobytes().decode()
 
 
@@ -522,39 +547,43 @@ def cmd_ga(args) -> int:
 # interpolate_path and each nearest-sample search grow with it
 TRACK_MAX_SAMPLES = 1 << 20
 # largest --steps track accepts: 2.4 times the 7M 15-mm steps along the longest
-# path (2^20 samples of 100 mm); 9 minutes at 33 us a step on the S course
+# path (2^20 samples of 100 mm); 6 minutes at 20 us a step on the S course
 TRACK_MAX_STEPS = 1 << 24
-# largest --steps times resampled samples: each step's nearest-sample search
-# scans the whole path (3.5 ms a step at 2^20 samples), so this keeps a run to
-# minutes: about 2 for 2^15 steps of 2^20 samples, 4 for 2^24 steps of 2^11
+# largest --steps times resampled samples: a step whose search certificate fails
+# scans the whole path (4.9 ms at 2^20 samples), as all do from a far start, so
+# this keeps a run to minutes: 2.7 for 2^15 steps of 2^20 samples, 7 for 2^24 of 2^11
 TRACK_MAX_WORK = 1 << 35
 
 
 def _track_payload(path, noise, seed, steps, start, out_path) -> dict:
-    """One seed's run: streams its trace to out_path and returns its
-    summary.json entry, folded from the rows as they pass."""
+    """One seed's run: streams its trace to out_path in float64 blocks of
+    NOISE_BLOCK rows and returns its summary.json entry, folded per block."""
+    import itertools
+    import numpy as np
     from . import tracksim
     start_pose = tracksim.Pose(*start) if start else None
-    summary = {"seed": seed, "rows": 0}
-    last = None
-    max_e_d = max_kappa = 0.0
-
-    def fold(rows):  # rows in TRACE_HEADER order: x is 1, y 2, e_d 7, kappa 9
-        nonlocal last, max_e_d, max_kappa
-        for last in rows:
-            summary["rows"] += 1
-            max_e_d = max(max_e_d, abs(last[7]))
-            max_kappa = max(max_kappa, abs(last[9]))
-            yield last
-
     rows = tracksim.trace_rows(path, tracksim.TrackerParams(), start_pose, noise, seed, steps)
+    summary = {"seed": seed, "rows": 0}
+    max_e_d = max_kappa = 0.0
     with _atomic_file(out_path) as fh:
-        fh.writelines(tracksim.csv_chunks(fold(rows)))
-    if last is not None:  # else the start pose is already beside the final sample
+        fh.write(tracksim.TRACE_HEADER + "\n")
+        while (block := np.fromiter(itertools.chain.from_iterable(
+                itertools.islice(rows, tracksim.NOISE_BLOCK)), np.float64)).size:
+            block = block.reshape(-1, 10)  # TRACE_HEADER order: x 1, y 2, e_d 7, kappa 9
+            cells = _fixed_cells(block, 6)
+            cells[..., -1] = ord(",")
+            cells[:, -1, -1] = ord("\n")
+            fh.write(cells[cells != 0].tobytes().decode())
+            summary["rows"] += len(block)
+            max_e_d = max(max_e_d, np.abs(block[:, 7]).max())
+            max_kappa = max(max_kappa, float(np.abs(block[:, 9]).max()))
+            last = block[-1]
+    if summary["rows"]:  # else the start pose is already beside the final sample
+        # e_d rounds as the numpy float64 the trace rows carry, kappa as a float
         summary.update(
             final_e_d_mm=round(last[7], 6),
             final_path_distance_mm=round(tracksim.path_distance(path, last[1], last[2]), 6),
-            max_abs_e_d_mm=round(max_e_d, 6),
+            max_abs_e_d_mm=round(np.float64(max_e_d), 6),
             max_abs_kappa=round(max_kappa, 9))
     return summary
 

@@ -7,14 +7,15 @@ with truncating division, and a cycle/latency model for the standard
 (one active rule per clock) and odd-even (two active rules per clock)
 processing schedules.
 
-Every inference path sums the 2^n active rules through one function,
-`fire`, over one `firing_plan`. The scalar path (`infer`, the tracker) runs on
-`Controller(spec)`, which memoises each input's `active_pair` per code on first
-use. Batched inference (`pair_tables`, `infer_batch`) lowers a spec to one
-`ActivePair` of arrays per input -- `left`, `deg_left` and `deg_right` for
-every code, from `axis_pairs`, which applies `membership` and `pick_pair`
-elementwise -- and fires a block of points with numpy arrays in place of
-scalars. The tables equal `active_pair` at every code, and every path equals
+Every inference path sums the 2^n active rules in one `firing_plan` order.
+The scalar path (`infer`, the tracker) runs on `Controller(spec)`, which
+memoises each input's `active_pair` per code on first use and fires from one
+flat tuple of degrees; the batched and real paths go through `fire`. Batched
+inference (`pair_tables`, `infer_batch`) lowers a spec to one `ActivePair` of
+arrays per input -- `left`, `deg_left` and `deg_right` for every code, from
+`axis_pairs`, which applies `membership` and `pick_pair` elementwise -- and
+fires a block of points with numpy arrays in place of scalars. The tables
+equal `active_pair` at every code, and every path equals
 `infer_full_rulebase` point for point. One rule, `pick_pair`, chooses the
 pair from an input's degrees in the fixed model and in the real one
 (`flcref.active_pair_real`).
@@ -383,30 +384,40 @@ def _defuzzify(spec: FlcSpec, num: int, den: int) -> int:
 class Controller:
     """A spec lowered once; `ctl(inputs)` is `infer(spec, inputs).value`.
 
-    Input k's memo maps each code seen to (left * m^k, (deg_left, deg_right)),
-    filled from `active_pair`; a call fires the spec's `firing_plan`.
+    Input k's memo maps each code seen to (left * m^k, deg_left, deg_right),
+    filled from `active_pair`. A call joins the inputs' entries into one
+    flat tuple and fires the spec's `firing_plan` over it: each firing reads
+    its degrees, in input order, through an itemgetter built here.
     """
 
     def __init__(self, spec: FlcSpec):
         self.spec = spec
         self._memos = [{} for _ in range(spec.n)]
-        self._plan = firing_plan(spec.n, spec.m)
-        self._weigh = _weigher(spec, min)
+        self._firings = [(operator.itemgetter(*(3 * k + 1 + o for k, o in enumerate(offsets))),
+                          addr) for offsets, addr in firing_plan(spec.n, spec.m)]
+        # with one input the getter returns the degree itself, which is the weight
+        self._weigh = _weigher(spec, min) if spec.n > 1 else operator.index
 
     def __call__(self, inputs: Sequence[int]) -> int:
         spec = self.spec
         if len(inputs) != spec.n:
             _check_inputs(spec, inputs)  # raises the wrong-count error
-        base, degs = 0, []
+        base, flat = 0, ()
         for k, (memo, x) in enumerate(zip(self._memos, inputs)):
             entry = memo.get(x)
             if entry is None:  # only in-range codes are ever stored
                 _check_inputs(spec, inputs)
                 p = active_pair(spec.partitions[k], x, spec.alpha_bits)
-                entry = memo[x] = (p.left * spec.m**k, (p.deg_left, p.deg_right))
+                entry = memo[x] = (p.left * spec.m**k, p.deg_left, p.deg_right)
             base += entry[0]
-            degs.append(entry[1])
-        return _defuzzify(spec, *fire(self._plan, base, degs, self._weigh, spec.singletons))
+            flat += entry
+        num = den = 0
+        weigh, ys = self._weigh, spec.singletons
+        for degrees, addr in self._firings:
+            w = weigh(degrees(flat))
+            num += w * ys[base + addr]
+            den += w
+        return _defuzzify(spec, num, den)
 
 
 def infer(spec: FlcSpec, inputs: Sequence[int]) -> FixedWord:

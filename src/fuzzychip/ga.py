@@ -55,11 +55,12 @@ FITNESS_LIMIT = "fitness_limit"
 # largest genom_lngt and pop_sz a config may ask for: a gated bit_flip child
 # consumes one word per bit, so a generation's time and draws grow with both
 GA_MAX_SIZE = 4096
-# largest max_gen a config may ask for: the CLI keeps one log row per
-# generation until the run ends. At burma14's 40-bit genomes a row is about
-# 90 B, so 2^20 is about 95 MB of rows and 70 s of generations when the
-# fitness limit is never met; a 4096-bit best genome makes a row about 1.1 kB
+# largest max_gen a config may ask for; the CLI streams the log, so memory stays
+# flat, and burma14's 40-bit profile runs 2^20 generations in about 95 s
 GA_MAX_GEN = 1 << 20
+# largest max_gen times the most LFSR words a generation reads: bit_flip at both
+# size caps reads 17.3M a generation, so 992 at most (77 s on a 2-vCPU Xeon)
+GA_MAX_WORK = 1 << 34
 
 
 class AllZeroFitness(ValueError):
@@ -237,6 +238,14 @@ class GaConfig:
                     out.append(f"unknown {field} {name!r}")
         if len(self.seeds) != 4 or any(not 0 < s < (1 << 16) for s in self.seeds):
             out.append("seeds must be four nonzero 16-bit values")
+        if not out:  # per child: a selection word, half a pair's crossover, the mutation
+            per_pair = max({SINGLE_POINT: 1, TWO_POINT: 2}.get(m, (self.genom_lngt + 15) // 16)
+                           for m in _as_schedule(self.cross_method))
+            per_child = 1 + (self.genom_lngt if BIT_FLIP in _as_schedule(self.mut_method) else 1)
+            words = self.pop_sz * (1 + per_child) + self.pop_sz // 2 * per_pair
+            if self.max_gen * words > GA_MAX_WORK:
+                out.append(f"max_gen {self.max_gen} times {words} LFSR words a generation "
+                           f"is more than {GA_MAX_WORK}")
         return out
 
     def validate(self) -> None:

@@ -30,6 +30,7 @@ _ROW_FORMAT = ",".join(["%.6f"] * 10) + "\n"
 # rows of (distance, heading) noise drawn per rng.normal call, and trace rows
 # per CSV chunk; memory stays bounded whatever the step budget
 NOISE_BLOCK = 1024
+SEARCH_WINDOW = 3  # samples each side of a scan's nearest that later steps try first
 # largest |x| or |y| of a loaded waypoint or a CLI start pose, in mm: the
 # squared distances of the nearest-sample search stay far below overflow
 MAX_COORD_MM = 1e9
@@ -94,13 +95,12 @@ class PathSamples:
         return {}
 
     def frame(self, idx: int) -> tuple:
-        """(px, py, tx, ty, atan2(ty, tx)) of sample idx, from `_tangent`,
-        memoised on first use. px .. ty stay numpy float64, so e_d does too
-        and summary.json keeps numpy's rounding of it."""
+        """(px, py, tx, ty, atan2(ty, tx)) of sample idx as Python floats, from
+        `_tangent`, memoised on first use."""
         entry = self._frames.get(idx)
         if entry is None:
-            px, py = self.points[idx]
-            tx, ty = _tangent(self, idx)
+            px, py = self.points[idx].tolist()
+            tx, ty = map(float, _tangent(self, idx))
             entry = self._frames[idx] = (px, py, tx, ty, math.atan2(ty, tx))
         return entry
 
@@ -154,6 +154,8 @@ def _tangent(path: PathSamples, idx: int) -> tuple[float, float]:
     else:
         dx, dy = pts[idx] - pts[idx - 1]  # final sample reuses the last segment
     norm = math.hypot(dx, dy)
+    if norm == 0.0:  # coincident samples (a loop shorter than the spacing): no direction
+        return 0.0, 0.0
     return dx / norm, dy / norm
 
 
@@ -163,10 +165,10 @@ def tracking_errors(path: PathSamples, idx: int, pose: Pose) -> tuple[float, flo
     e_d is the lateral offset from the tangent line through the sample,
     positive when the path lies to the robot's left: the cross product of
     the unit tangent with (sample - position). e_theta is the wrapped
-    difference (tangent angle - heading)."""
+    difference (tangent angle - heading). e_d is numpy's, as summary.json rounds it."""
     px, py, tx, ty, heading = path.frame(idx)
     e_d = tx * (py - pose.y) - ty * (px - pose.x)
-    return e_d, wrap_angle(heading - pose.theta)
+    return np.float64(e_d), wrap_angle(heading - pose.theta)
 
 
 def path_distance(path: PathSamples, x: float, y: float) -> float:
@@ -322,7 +324,13 @@ def trace_rows(path: PathSamples, params: TrackerParams, start: Pose | None = No
     drawn in blocks of NOISE_BLOCK (d, theta) rows, the same draws in the
     same order as two scalar rng.normal calls per step. closest_point,
     spatial_window_command and step_kinematics are lowered into float
-    arithmetic in the same operation order; e_d stays path.frame's numpy."""
+    arithmetic in the same operation order; e_d is yielded as numpy float64.
+
+    closest_point's argmin, certified: a scan at pose S keeps the SEARCH_WINDOW
+    samples each side of its answer and h, S's distance to the nearest outside
+    them, which are then at least h - |P - S| from pose P. The window's nearest
+    (numpy's operation order, low index on ties) is the argmin when closer than
+    that by a margin far above rounding; else P scans (always when h = inf)."""
     ctl = tracker_controller(params)
     (d_lo, d_span, d_top), (t_lo, t_span, t_top) = (
         (m.lo, m.hi - m.lo, m.top) for m in error_maps(params))
@@ -331,17 +339,30 @@ def trace_rows(path: PathSamples, params: TrackerParams, start: Pose | None = No
     scale = (noise[0] * v * dt, noise[1])
     pi, tau, cos, sin = math.pi, 2.0 * math.pi, math.cos, math.sin
     floor, ceil, half = math.floor, math.ceil, 1 << (_OUT_BITS - 1)
-    if start is None:  # the first sample, aligned with the initial tangent
-        start = Pose(*map(float, path.points[0]), path.frame(0)[4])
-    x, y, th = ex, ey, eth = start.x, start.y, start.theta
+    sqrt, hypot, inf, f64 = math.sqrt, math.hypot, math.inf, np.float64
     (xs, ys), frame, size = path.columns, path.frame, len(path)
+    if start is None:  # the first sample, aligned with the initial tangent
+        start = Pose(*map(float, path.points[0]), frame(0)[4])
+    x, y, th = ex, ey, eth = start.x, start.y, start.theta
+    d2, dy2 = np.empty(size), np.empty(size)  # the scan's buffers
+    near, horizon, sx, sy = (), 0.0, ex, ey  # no window yet: the first step scans
     for k in range(steps):
-        d2 = xs - ex
-        d2 *= d2
-        dy = ys - ey
-        dy *= dy
-        d2 += dy
-        idx = int(d2.argmin())
+        best = inf
+        for j, wx, wy in near:
+            dx, dy = wx - ex, wy - ey
+            if (d := dx * dx + dy * dy) < best:
+                best, idx = d, j
+        if not sqrt(best) + 1e-9 * (horizon + 1.0) < horizon - hypot(ex - sx, ey - sy):
+            np.subtract(xs, ex, out=d2)
+            d2 *= d2
+            np.subtract(ys, ey, out=dy2)
+            dy2 *= dy2
+            d2 += dy2
+            idx = int(d2.argmin())
+            lo, hi = max(idx - SEARCH_WINDOW, 0), idx + SEARCH_WINDOW + 1
+            near = tuple(zip(range(lo, hi), xs[lo:hi].tolist(), ys[lo:hi].tolist()))
+            d2[lo:hi] = inf
+            horizon, sx, sy = sqrt(d2.min()), ex, ey
         if idx == size - 1:
             return
         total = 0.0
@@ -362,7 +383,7 @@ def trace_rows(path: PathSamples, params: TrackerParams, start: Pose | None = No
                         0 if r < 0 else t_top if r > t_top else r))
             total += (code - half) / half * k_max
         kappa = min(max(total / (stop - idx), -k_max), k_max)
-        yield (k * dt, x, y, th, ex, ey, eth, row_d, row_t, kappa)
+        yield (k * dt, x, y, th, ex, ey, eth, f64(row_d), row_t, kappa)
         if v <= 0:
             raise ForwardOnly(f"speed must be positive, got {v}")
         dth = v * kappa * dt

@@ -616,6 +616,40 @@ def test_csv_rows_integer_columns(dtype):
                     for a, b in zip(values, values[::-1])]
 
 
+# .6f ties: odd multiples of 1/128 are exact, their neighbours one ulp off
+_TIES = [s * (2 * j + 1) / 128 for j in (0, 1, 63, 64, 12345, 2**40 + 7) for s in (1, -1)]
+_TRACE_EDGES = (_TIES + [math.nextafter(v, d) for v in _TIES for d in (-math.inf, math.inf)]
+                + [5e-7, -5e-7, 4.9999999e-7, 1.5e-6, 2.5e-6, 0.0, -0.0, -1e-9, -4e-7, -5e-324,
+                   1e9, -1e9, 999999999.9999995, 2**53 / 1e6, -(2**53) / 1e6,
+                   math.nextafter(2**53 / 1e6, 0), 838860.75, 2**24 * 0.05, 1e300, -1e17,
+                   math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(_TRACE_EDGES) | st.floats(allow_nan=False, width=64)
+                | st.floats(-2e9, 2e9), min_size=10, max_size=300))
+def test_fixed_cells_match_trace_row_format(values):
+    block = np.array(values[:len(values) // 10 * 10]).reshape(-1, 10)
+    cells = cli._fixed_cells(block, 6)
+    cells[..., -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    want = "".join(tracksim._ROW_FORMAT % tuple(row) for row in block.tolist())
+    assert cells[cells != 0].tobytes().decode() == want
+
+
+def test_track_summary_rounds_e_d_as_numpy_and_kappa_as_python(tmp_path, monkeypatch):
+    # the two roundings differ on these values: numpy 97.954096 and
+    # 0.001286378, Python 97.954097 and 0.001286377; e_d was a numpy float64
+    # and kappa a float before the trace went through a float64 matrix
+    row = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 97.9540965, 0.0, -0.0012863775)
+    monkeypatch.setattr(tracksim, "trace_rows", lambda *args: iter([row]))
+    path = tracksim.interpolate_path(straight_waypoints(1000.0), 100.0)
+    summary = cli._track_payload(path, (0.0, 0.0), 0, 1, None, str(tmp_path / "t.csv"))
+    assert (summary["final_e_d_mm"], summary["max_abs_e_d_mm"]) == (97.954096, 97.954096)
+    assert summary["max_abs_kappa"] == 0.001286377
+    assert (tmp_path / "t.csv").read_text() == TRACE_HEADER + "\n" + tracksim._ROW_FORMAT % row
+
+
 @pytest.fixture()
 def zero_den_spec():
     # valid, but 1 alpha bit floors both degrees to zero mid-edge (fixed
@@ -791,6 +825,20 @@ def test_ga_rejects_unbounded_max_gen(source, ga_config_file, tmp_path, capsys):
     rc = main(["ga", *args, "--fn", "sphere", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: max_gen must be 0..{ga.GA_MAX_GEN}\n"
+    assert not out.exists()
+
+
+def test_ga_rejects_work_over_cap(ga_config_file, tmp_path, capsys, monkeypatch):
+    # the default profile reads 32 selection, 16 crossover and 64 mutation
+    # words a generation; the cap on max_gen times that is inclusive
+    monkeypatch.setattr(ga, "GA_MAX_WORK", 112 * 5)
+    argv = ["ga", "--config", ga_config_file, "--fn", "sphere", "--out"]
+    assert main([*argv, str(tmp_path / "ok"), "--max-gen", "5"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main([*argv, str(out), "--max-gen", "6"]) == 1
+    assert capsys.readouterr().err == ("error: max_gen 6 times 112 LFSR words a generation "
+                                       "is more than 560\n")
     assert not out.exists()
 
 

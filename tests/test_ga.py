@@ -218,6 +218,27 @@ def test_config_size_caps_are_inclusive():
     assert len(GaConfig(genom_lngt=4097, pop_sz=4097, max_gen=GA_MAX_GEN + 1).problems()) == 3
 
 
+def test_config_work_cap_boundary(monkeypatch):
+    # max_gen times the most words a generation reads: bit_flip at both size
+    # caps reads a selection word, a gate and 4096 bits per child, and 256
+    # uniform-crossover words per pair
+    words = 4096 * (1 + 1 + 4096) + 2048 * 256
+    flip = GaConfig(genom_lngt=4096, pop_sz=4096, cross_method=UNIFORM, mut_method=BIT_FLIP,
+                    max_gen=ga.GA_MAX_WORK // words)
+    assert flip.problems() == []
+    over = replace(flip, max_gen=flip.max_gen + 1)
+    assert over.problems() == [f"max_gen {over.max_gen} times {words} LFSR words a "
+                               f"generation is more than {ga.GA_MAX_WORK}"]
+    # a schedule counts its costliest methods; single_point / single_bit read
+    # a selection word, half a cut word and two mutation words per child
+    sched = GaConfig(pop_sz=8, cross_method=(SINGLE_POINT, TWO_POINT), max_gen=5)
+    monkeypatch.setattr(ga, "GA_MAX_WORK", 5 * (8 * 3 + 4 * 2))
+    assert sched.problems() == []
+    assert len(replace(sched, max_gen=6).problems()) == 1
+    assert replace(sched, max_gen=6, mut_method=BIT_FLIP).problems()[0].startswith(
+        "max_gen 6 times 152 LFSR words")
+
+
 def test_method_schedule():
     assert method_for(SINGLE_POINT, 0) == SINGLE_POINT
     assert method_for(SINGLE_POINT, 99) == SINGLE_POINT

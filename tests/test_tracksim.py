@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzychip import flc
+from fuzzychip import flc, tracksim
 from fuzzychip.fixedq import DomainMap, quantize
 from fuzzychip.flc import MIN, infer, validate_spec
 from fuzzychip.tracksim import (
@@ -494,6 +494,45 @@ def test_trace_rows_equal_composed_specification(waypoints, window, noise, start
     assert rows == expect
     assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in expect]
     assert all(type(r[7]) is np.float64 for r in rows)  # summary.json rounds it with numpy
+
+
+_far = st.floats(1e3, 9e8).flatmap(lambda r: st.tuples(st.sampled_from([r, -r]), st.floats(-r, r)))
+
+
+@settings(max_examples=25)
+@given(
+    waypoints=st.lists(st.tuples(st.floats(-4000.0, 4000.0), st.floats(-4000.0, 4000.0)),
+                       min_size=3, max_size=9, unique=True),
+    search=st.integers(1, 4),
+    window=st.integers(1, 4),
+    noise=st.sampled_from([(0.0, 0.0), (0.1, 0.002), (1.0, 0.1)]),
+    start=st.one_of(st.none(), st.builds(lambda xy, th: Pose(*xy, th), _far,
+                                         st.floats(-math.pi, math.pi))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_rows_equal_composed_specification_on_crossing_paths(waypoints, search, window,
+                                                                   noise, start, seed):
+    # random polylines cross themselves, and a start up to 9e8 mm away
+    # rescans until it nears the path; every search window width must give
+    # closest_point's argmin
+    path = interpolate_path(waypoints, 70.0)
+    params = TrackerParams(window=window)
+    saved, tracksim.SEARCH_WINDOW = tracksim.SEARCH_WINDOW, search
+    try:
+        rows = list(trace_rows(path, params, start, noise, seed, 600))
+    finally:
+        tracksim.SEARCH_WINDOW = saved
+    assert rows == _composed_rows(path, params, start, noise, seed, 600)
+
+
+def test_coincident_samples_have_no_tangent():
+    # a loop shorter than the spacing resamples to two samples on one point:
+    # the tangent is (0, 0), so the run steers on heading alone, not NaN
+    path = interpolate_path([(0.0, 0.0), (0.0, 1.0), (0.0, 0.0)], 40.0)
+    assert len(path) == 2 and path.frame(0) == path.frame(1) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    rows = list(trace_rows(path, TrackerParams(), Pose(10.0, 5.0, 1.0), steps=20))
+    assert len(rows) == 20 and all(r[7] == 0.0 and math.isfinite(r[9]) for r in rows)
+    assert rows == _composed_rows(path, TrackerParams(), Pose(10.0, 5.0, 1.0), (0.0, 0.0), 0, 20)
 
 
 @pytest.mark.parametrize("v", [0.0, -1.0])
