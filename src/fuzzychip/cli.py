@@ -307,25 +307,25 @@ def _fixed_cells(v, places: int):
     a = np.abs(v)
     with np.errstate(all="ignore"):
         p = a * scale
-        hi = (c := a * (2.0**27 + 1)) - (c - a)  # Veltkamp: |x|'s high 26 bits
-        e = hi * scale - p + (a - hi) * scale  # |x| * 10^places == p + e exactly
-        n = np.where((p - np.floor(p) == 0.5) & (e != 0), p + np.copysign(0.5, e), np.rint(p))
-    fast = p < 2.0**53  # false for nan and inf
-    slow = np.flatnonzero(~fast)
+        n = np.rint(p)
+        tie = np.flatnonzero(p - np.floor(p) == 0.5)  # only a half-integer p reads e
+        t, pt = a.flat[tie], p.flat[tie]
+        hi = (c := t * (2.0**27 + 1)) - (c - t)  # Veltkamp: t's high 26 bits
+        e = hi * scale - pt + (t - hi) * scale  # t * 10^places == pt + e exactly
+        n.flat[tie] = np.where(e != 0, pt + np.copysign(0.5, e), n.flat[tie])
+    slow = np.flatnonzero(~(p < 2.0**53))  # nan and inf too
     texts = [format(x, f".{places}f") for x in v.flat[slow].tolist()]
-    n.flat[slow] = 0
-    n = n.astype(np.uint64)
+    n = np.where(p < 2.0**53, n, 0).astype(np.uint64)
     whole = n // 10**places
-    digits = len(str(int(whole.max())))
-    width = max([digits + places + 2, *map(len, texts)])
+    width = max([(digits := len(str(int(whole.max())))) + places + 2, *map(len, texts)])
     point = width - places - 1  # the sign and the whole digits come before it
     cells = np.zeros((*v.shape, width + 1), np.uint8)
     _put_digits(cells[..., point + 1:-1], (n - whole * 10**places).astype(np.uint32))
     cells[..., point] = ord(".")
     _put_digits(cells[..., point - digits:point], whole, lead=True)
-    neg = np.nonzero(np.signbit(v) & fast)
-    cells[(*neg, point - 1 - np.count_nonzero(cells[..., :point][neg], axis=-1))] = ord("-")
-    _put_texts(cells.reshape(-1, width + 1)[:, :-1], slow, texts)
+    flat, neg = cells.reshape(-1, width + 1), np.flatnonzero(np.signbit(v))
+    flat[neg, point - 1 - np.count_nonzero(flat[neg, :point], axis=-1)] = ord("-")
+    _put_texts(flat[:, :-1], slow, texts)  # also over a sign put in a slow cell
     return cells
 
 
