@@ -266,8 +266,25 @@ def _sweep_rows(spec: flc.FlcSpec) -> int:
     return rows
 
 
-# 10^k for k = 0..96: exact up to 10^22, correctly rounded above
-_POW10 = tuple(float(10**k) for k in range(97))
+_POW10 = tuple(float(10**k) for k in range(23))  # 10^k, all exact
+
+
+def _rint_exact(a, scale):
+    """(p, n) for a float array a and scale, an exact power of ten up to 10^22
+    or an array of them shaped like a: p = fl(a * scale) and n the exact
+    product rounded half-even. Below 2^53 p's rounding settles a tie between
+    integers as n does, so only a half-integer p reads the product's exact
+    error: Dekker's error-free product, both factors split by Veltkamp."""
+    import numpy as np
+    with np.errstate(all="ignore"):
+        p = a * scale
+        n = np.rint(p)
+        tie = np.flatnonzero(p - np.floor(p) == 0.5)
+        t, s, pt = a.flat[tie], np.broadcast_to(scale, a.shape).flat[tie], p.flat[tie]
+        th, sh = [(c := f * (2.0**27 + 1)) - (c - f) for f in (t, s)]  # high 26 bits
+        e = th * sh - pt + th * (s - sh) + (t - th) * sh + (t - th) * (s - sh)  # t*s - pt
+        n.flat[tie] = np.where(e != 0, pt + np.copysign(0.5, e), n.flat[tie])
+    return p, n
 
 
 def _put_digits(slot, v, lead: bool = False) -> None:
@@ -297,22 +314,11 @@ def _fixed_cells(v, places: int):
     as uint8 cells of shape v.shape + (width,) right-aligned after 0 bytes;
     the last column is a spare 0 for the caller's separator.
 
-    The digits are |x| * 10^places = p + e rounded half-even: p and its exact
-    error e are Dekker's error-free product (10^places <= 10^9 has <= 21 bits:
-    its own high half), and only a half-integer p reads e; below 2^53 p's rounding
-    settles a tie between integers alike. The sign is the sign bit (-0.0 reads
-    -0.000...). A non-finite x or |x| * 10^places >= 2^53 goes to format."""
+    The digits are _rint_exact(|x|, 10^places), and the sign is the sign bit
+    (-0.0 reads -0.000...). Python's format writes only a non-finite x or one
+    with |x| * 10^places >= 2^53."""
     import numpy as np
-    scale = _POW10[places]
-    a = np.abs(v)
-    with np.errstate(all="ignore"):
-        p = a * scale
-        n = np.rint(p)
-        tie = np.flatnonzero(p - np.floor(p) == 0.5)  # only a half-integer p reads e
-        t, pt = a.flat[tie], p.flat[tie]
-        hi = (c := t * (2.0**27 + 1)) - (c - t)  # Veltkamp: t's high 26 bits
-        e = hi * scale - pt + (t - hi) * scale  # t * 10^places == pt + e exactly
-        n.flat[tie] = np.where(e != 0, pt + np.copysign(0.5, e), n.flat[tie])
+    p, n = _rint_exact(np.abs(v), _POW10[places])
     slow = np.flatnonzero(~(p < 2.0**53))  # nan and inf too
     texts = [format(x, f".{places}f") for x in v.flat[slow].tolist()]
     n = np.where(p < 2.0**53, n, 0).astype(np.uint64)
@@ -329,13 +335,6 @@ def _fixed_cells(v, places: int):
     return cells
 
 
-def _off_tie(v):
-    """v lies more than 1e-6 from a half-integer, so rint(v) rounds any value
-    within 1e-6 of v the same way."""
-    import numpy as np
-    return np.abs(v - np.floor(v) - 0.5) > 1e-6
-
-
 def _csv_rows(ints, real, err) -> str:
     """CSV rows `i0,...,ik,real,err`: each of the int arrays ints (values
     in 0..2^32 - 1) in decimal, real as format(r, '.9f') and err as
@@ -343,30 +342,24 @@ def _csv_rows(ints, real, err) -> str:
 
     Each cell is a fixed-width slot of one uint8 matrix, right-aligned
     after 0 bytes that one mask drops at the end. The digits come from
-    integers that certify themselves (Loitsch's Grisu3 design):
+    integers that certify themselves (Loitsch's Grisu3 design), each
+    rounded exactly by _rint_exact:
     - `.9f` is `_fixed_cells(real, 9)`;
-    - `.3e` is the mantissa rint(e * 10^(3 - x)) in [1000, 10000] with
-      x = floor(log10(e)), for e in [1e-19, 1e100); a mantissa of 10000
+    - `.3e` is the mantissa _rint_exact(e, 10^(3 - x)) in [1000, 10000] with
+      x = floor(log10(e)), for e in [1e-19, 1e4); a mantissa of 10000
       carries into x, and e == 0 is 0.000e+00.
-    The `.3e` scaling is off by a few ulps of a value below 1e4. A value
-    outside that range, an unrounded mantissa outside [1000, 10000)
-    (log10 off by one beside a power of ten), or a scaled value within 1e-6
-    of a rounding tie is written by Python's format into the same slot
-    instead.
+    Python's format writes a `.3e` cell only for e outside that range (a
+    sweep's error is below 1) or when fl(e * 10^(3 - x)) falls outside
+    [1000, 10000) (log10 off by one beside a power of ten).
     """
     import numpy as np
-    ten = np.array(_POW10)
     with np.errstate(all="ignore"):
-        in_range = (err >= 1e-19) & (err < 1e100)
-        x = np.clip(np.where(in_range, np.floor(np.log10(err)), 0), -19, 99).astype(np.int64)
-        pow10 = ten[np.abs(3 - x)]
-        scaled = np.where(x <= 3, err * pow10, err / pow10)
-        mant = np.rint(scaled)
-        carry = mant == 1e4
-        mant[carry] = 1e3
-        x += carry
-        sci_ok = (in_range & (scaled >= 1e3) & (scaled < 1e4) & (x < 100) & _off_tie(scaled)
-                  | (err == 0) & ~np.signbit(err))
+        in_range = (err >= 1e-19) & (err < 1e4)
+        x = np.clip(np.where(in_range, np.floor(np.log10(err)), 0), -19, 3).astype(np.int64)
+    scaled, mant = _rint_exact(err, np.array(_POW10)[3 - x])
+    x += (carry := mant == 1e4)
+    mant[carry] = 1e3
+    sci_ok = in_range & (scaled >= 1e3) & (scaled < 1e4) | (err == 0) & ~np.signbit(err)
     sci_slow = np.flatnonzero(~sci_ok)
     sci_text = [format(v, ".3e") for v in err[sci_slow].tolist()]
     mant[sci_slow] = x[sci_slow] = 0

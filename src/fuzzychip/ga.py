@@ -55,12 +55,14 @@ FITNESS_LIMIT = "fitness_limit"
 # largest genom_lngt and pop_sz a config may ask for: a gated bit_flip child
 # consumes one word per bit, so a generation's time and draws grow with both
 GA_MAX_SIZE = 4096
-# largest max_gen a config may ask for; the CLI streams the log, so memory stays
-# flat, and burma14's 40-bit profile runs 2^20 generations in about 95 s
+# largest max_gen a config may ask for; the CLI streams the log, so memory stays flat
 GA_MAX_GEN = 1 << 20
 # largest max_gen times the most LFSR words a generation reads: bit_flip at both
 # size caps reads 17.3M a generation, so 992 at most (77 s on a 2-vCPU Xeon)
 GA_MAX_WORK = 1 << 34
+# largest pop_sz times max_gen, the children a run breeds and scores: at both size
+# caps burma14 runs the 4,096 generations this allows in 114-140 s (2 CPUs)
+GA_MAX_CHILDREN = 1 << 24
 
 
 class AllZeroFitness(ValueError):
@@ -246,6 +248,9 @@ class GaConfig:
             if self.max_gen * words > GA_MAX_WORK:
                 out.append(f"max_gen {self.max_gen} times {words} LFSR words a generation "
                            f"is more than {GA_MAX_WORK}")
+            if self.pop_sz * self.max_gen > GA_MAX_CHILDREN:
+                out.append(f"pop_sz {self.pop_sz} times max_gen {self.max_gen} is more "
+                           f"than {GA_MAX_CHILDREN}")
         return out
 
     def validate(self) -> None:

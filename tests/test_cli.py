@@ -589,6 +589,10 @@ _EDGE_VALUES = st.one_of(
     st.floats(0, 2.2250738585072014e-308),  # subnormals
     st.integers(0, 10 * 1024).map(lambda k: k / 1024),  # dyadic .9f ties
     st.integers(0, 10**10).map(lambda k: (k + 0.5) / 1e9),  # beside a half-integer
+    # .3e half-way points (m + 0.5) * 10^(k - 3), scaled back by up to 10^22,
+    # and their neighbours
+    st.builds(lambda m, k, d: math.nextafter(v := float(f"{10 * m + 5}e{k - 4}"), v * d),
+              st.integers(1000, 9999), st.integers(-19, 3), st.sampled_from([0, 1, 2])),
 )
 
 
@@ -605,6 +609,36 @@ def test_csv_rows_fallback_shares_a_block_with_the_integer_path():
     real = [0.25, 1 / 1024, 1e300, -0.0, 9.9999999995, 0.123456789, math.nan]
     err = [0.25, 1e-300, 1e-320, 0.0, 9.9995e-3, math.inf, 1.5e-5]
     assert _csv_cells([np.arange(7)], real, err) == _formatted(real, err)
+
+
+def test_sweep_abs_error_cells_never_reach_format(tmp_path, monkeypatch):
+    # the benchmark's sweep shape: every cell is rounded exactly, where 2.6%
+    # of such abs_error cells, near a .3e rounding tie but none on one, once
+    # went to Python's format
+    rnd = random.Random(7)
+    spec = flc.FlcSpec(
+        in_bits=7, out_bits=12, alpha_bits=8, cons_bits=8,
+        partitions=(flc.uniform_partition(7, 9),) * 2,
+        singletons=tuple(rnd.randrange(256) for _ in range(81)), and_method=flc.MIN)
+    path = tmp_path / "sweep.json"
+    flc.dump_spec(spec, path)
+    formatted, want = [], ["x0,x1,fixed_code,real_value,abs_error\n"]
+
+    def fallback(value, fmt):
+        formatted.append((value, fmt))
+        return format(value, fmt)
+
+    def csv_rows(ints, real, err):
+        columns = [v.tolist() for v in (*ints, real, err)]
+        want.extend(f"{x0},{x1},{c},{r:.9f},{e:.3e}\n" for x0, x1, c, r, e in zip(*columns))
+        return _csv_rows(ints, real, err)
+
+    monkeypatch.setattr(cli, "format", fallback, raising=False)
+    monkeypatch.setattr(cli, "_csv_rows", csv_rows)
+    assert main(["flc", "sweep", "--spec", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert formatted == []
+    assert (tmp_path / "o" / "sweep.csv").read_text() == "".join(want)
+    assert len(want) == 1 + 2**14
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint32, object])

@@ -12,6 +12,7 @@ from fuzzychip.ga import (
     BIT_FLIP,
     CROSS_METHODS,
     FITNESS_LIMIT,
+    GA_MAX_CHILDREN,
     GA_MAX_GEN,
     GA_MAX_SIZE,
     LFSR_TAPS,
@@ -211,11 +212,19 @@ def test_config_problems(kwargs, needle):
 
 def test_config_size_caps_are_inclusive():
     # bit_flip draws one word per bit, so widths and populations are capped;
-    # the CLI logs one row per generation until the run ends, so max_gen is
-    assert GA_MAX_SIZE == 4096 and GA_MAX_GEN == 1 << 20
-    assert GaConfig(genom_lngt=4096, pop_sz=4096, max_gen=GA_MAX_GEN).problems() == []
+    # the CLI logs one row per generation until the run ends, so max_gen is;
+    # a generation breeds and scores pop_sz children, so pop_sz * max_gen is
+    assert GA_MAX_SIZE == 4096 and GA_MAX_GEN == 1 << 20 and GA_MAX_CHILDREN == 1 << 24
+    assert GaConfig(genom_lngt=4096, pop_sz=4096, max_gen=4096).problems() == []
+    assert GaConfig(pop_sz=16, max_gen=GA_MAX_GEN).problems() == []
+    assert GaConfig(genom_lngt=40, pop_sz=32, max_gen=8000).problems() == []  # burma14
     assert GaConfig(score_sz=32).problems() == []
     assert len(GaConfig(genom_lngt=4097, pop_sz=4097, max_gen=GA_MAX_GEN + 1).problems()) == 3
+    # single_point / single_bit at both size caps read few LFSR words, yet 2^20
+    # generations (8-10 h on burma14) once validated
+    for pop_sz, max_gen in ((4096, 4097), (4096, GA_MAX_GEN), (18, GA_MAX_GEN)):
+        assert GaConfig(genom_lngt=4096, pop_sz=pop_sz, max_gen=max_gen).problems() == [
+            f"pop_sz {pop_sz} times max_gen {max_gen} is more than {GA_MAX_CHILDREN}"]
 
 
 def test_config_work_cap_boundary(monkeypatch):
