@@ -266,124 +266,12 @@ def _sweep_rows(spec: flc.FlcSpec) -> int:
     return rows
 
 
-_POW10 = tuple(float(10**k) for k in range(23))  # 10^k, all exact
-
-
-def _rint_exact(a, scale):
-    """(p, n) for a float array a and scale, an exact power of ten up to 10^22
-    or an array of them shaped like a: p = fl(a * scale) and n the exact
-    product rounded half-even. Below 2^53 p's rounding settles a tie between
-    integers as n does, so only a half-integer p reads the product's exact
-    error: Dekker's error-free product, both factors split by Veltkamp."""
-    import numpy as np
-    with np.errstate(all="ignore"):
-        p = a * scale
-        n = np.rint(p)
-        tie = np.flatnonzero(p - np.floor(p) == 0.5)
-        t, s, pt = a.flat[tie], np.broadcast_to(scale, a.shape).flat[tie], p.flat[tie]
-        th, sh = [(c := f * (2.0**27 + 1)) - (c - f) for f in (t, s)]  # high 26 bits
-        e = th * sh - pt + th * (s - sh) + (t - th) * sh + (t - th) * (s - sh)  # t*s - pt
-        n.flat[tie] = np.where(e != 0, pt + np.copysign(0.5, e), n.flat[tie])
-    return p, n
-
-
-def _put_digits(slot, v, lead: bool = False) -> None:
-    """Writes the decimal digits of the unsigned ints v along the last axis
-    of slot, a uint8 view, units digit last; with lead, the columns before a
-    value's leading digit get 0 (pad) bytes."""
-    last = slot.shape[-1] - 1
-    for k in range(last, -1, -1):
-        q = v // 10
-        d = v - q * 10 + 48
-        if lead and k < last:
-            d *= v != 0
-        slot[..., k] = d
-        v = q
-
-
-def _put_texts(slot, rows, texts: list[str]) -> None:
-    """Writes texts into the given rows of slot, right-aligned after 0 bytes."""
-    import numpy as np
-    width = slot.shape[-1]
-    cells = "".join(t.rjust(width, "\0") for t in texts).encode()
-    slot[rows] = np.frombuffer(cells, np.uint8).reshape(len(texts), width)
-
-
-def _fixed_cells(v, places: int):
-    """format(x, f'.{places}f') of each float x of the array v, byte for byte,
-    as uint8 cells of shape v.shape + (width,) right-aligned after 0 bytes;
-    the last column is a spare 0 for the caller's separator.
-
-    The digits are _rint_exact(|x|, 10^places), and the sign is the sign bit
-    (-0.0 reads -0.000...). Python's format writes only a non-finite x or one
-    with |x| * 10^places >= 2^53."""
-    import numpy as np
-    p, n = _rint_exact(np.abs(v), _POW10[places])
-    slow = np.flatnonzero(~(p < 2.0**53))  # nan and inf too
-    texts = [format(x, f".{places}f") for x in v.flat[slow].tolist()]
-    n = np.where(p < 2.0**53, n, 0).astype(np.uint64)
-    whole = n // 10**places
-    width = max([(digits := len(str(int(whole.max())))) + places + 2, *map(len, texts)])
-    point = width - places - 1  # the sign and the whole digits come before it
-    cells = np.zeros((*v.shape, width + 1), np.uint8)
-    _put_digits(cells[..., point + 1:-1], (n - whole * 10**places).astype(np.uint32))
-    cells[..., point] = ord(".")
-    _put_digits(cells[..., point - digits:point], whole, lead=True)
-    flat, neg = cells.reshape(-1, width + 1), np.flatnonzero(np.signbit(v))
-    flat[neg, point - 1 - np.count_nonzero(flat[neg, :point], axis=-1)] = ord("-")
-    _put_texts(flat[:, :-1], slow, texts)  # also over a sign put in a slow cell
-    return cells
-
-
 def _csv_rows(ints, real, err) -> str:
     """CSV rows `i0,...,ik,real,err`: each of the int arrays ints (values
     in 0..2^32 - 1) in decimal, real as format(r, '.9f') and err as
-    format(e, '.3e'), byte for byte.
-
-    Each cell is a fixed-width slot of one uint8 matrix, right-aligned
-    after 0 bytes that one mask drops at the end. The digits come from
-    integers that certify themselves (Loitsch's Grisu3 design), each
-    rounded exactly by _rint_exact:
-    - `.9f` is `_fixed_cells(real, 9)`;
-    - `.3e` is the mantissa _rint_exact(e, 10^(3 - x)) in [1000, 10000] with
-      x = floor(log10(e)), for e in [1e-19, 1e4); a mantissa of 10000
-      carries into x, and e == 0 is 0.000e+00.
-    Python's format writes a `.3e` cell only for e outside that range (a
-    sweep's error is below 1) or when fl(e * 10^(3 - x)) falls outside
-    [1000, 10000) (log10 off by one beside a power of ten).
-    """
-    import numpy as np
-    with np.errstate(all="ignore"):
-        in_range = (err >= 1e-19) & (err < 1e4)
-        x = np.clip(np.where(in_range, np.floor(np.log10(err)), 0), -19, 3).astype(np.int64)
-    scaled, mant = _rint_exact(err, np.array(_POW10)[3 - x])
-    x += (carry := mant == 1e4)
-    mant[carry] = 1e3
-    sci_ok = in_range & (scaled >= 1e3) & (scaled < 1e4) | (err == 0) & ~np.signbit(err)
-    sci_slow = np.flatnonzero(~sci_ok)
-    sci_text = [format(v, ".3e") for v in err[sci_slow].tolist()]
-    mant[sci_slow] = x[sci_slow] = 0
-    fix = _fixed_cells(real, 9)
-
-    ints = [v.astype(np.uint32) for v in ints]
-    widths = [len(str(int(v.max()))) for v in ints]
-    widths += [fix.shape[-1], max([9, *map(len, sci_text)])]
-    ends = np.cumsum(widths) + np.arange(len(widths))  # one past each slot
-    buf = np.zeros((len(real), ends[-1] + 1), np.uint8)
-    buf[:, ends[:-1]] = ord(",")
-    buf[:, -1] = ord("\n")
-    for v, width, end in zip(ints, widths, ends):
-        _put_digits(buf[:, end - width:end], v, lead=True)
-    buf[:, ends[-2] - widths[-2]:ends[-2]] = fix
-    end, mant = ends[-1], mant.astype(np.uint32)
-    buf[:, end - 9] = mant // 1000 + 48
-    buf[:, end - 8] = ord(".")
-    _put_digits(buf[:, end - 7:end - 4], mant % 1000)
-    buf[:, end - 4] = ord("e")
-    buf[:, end - 3] = np.where(x < 0, ord("-"), ord("+"))
-    _put_digits(buf[:, end - 2:end], np.abs(x).astype(np.uint32))
-    _put_texts(buf[:, end - widths[-1]:end], sci_slow, sci_text)
-    return buf[buf != 0].tobytes().decode()
+    format(e, '.3e'), byte for byte, as the cell writers of .cells write them."""
+    from .cells import fixed_cells, int_cells, rows_text, sci_cells
+    return rows_text([*map(int_cells, ints), fixed_cells(real, 9), sci_cells(err)])
 
 
 def _sweep_chunks(spec: flc.FlcSpec):
@@ -516,6 +404,11 @@ def cmd_ga(args) -> int:
         found = run_cfg.problems()
         if found:
             raise CliError(EXIT_INVALID, "; ".join(found))
+    # a TSP fitness call grows with the dimension; GA_MAX_CHILDREN was timed on burma14's 14
+    limit = ga.GA_MAX_CHILDREN * 14
+    if args.instance and cfg.pop_sz * cfg.max_gen * problem.dimension > limit:
+        raise CliError(EXIT_INVALID, f"pop_sz {cfg.pop_sz} times max_gen {cfg.max_gen} times "
+                                     f"dimension {problem.dimension} is more than {limit}")
     try:  # ValueError: the genome width cannot encode the problem
         fit = (problems.BenchmarkFitness(problem, cfg.score_sz, cfg.genom_lngt) if args.fn
                else problems.TspFitness(problem, cfg.genom_lngt, cfg.score_sz))
@@ -549,33 +442,28 @@ TRACK_MAX_WORK = 1 << 35
 
 
 def _track_payload(path, noise, seed, steps, start, out_path) -> dict:
-    """One seed's run: streams its trace to out_path in float64 blocks of
+    """One seed's run: streams its trace to out_path in tracksim's blocks of
     NOISE_BLOCK rows and returns its summary.json entry, folded per block."""
-    import itertools
     import numpy as np
     from . import tracksim
     start_pose = tracksim.Pose(*start) if start else None
     rows = tracksim.trace_rows(path, tracksim.TrackerParams(), start_pose, noise, seed, steps)
+    x, y, e_d, kappa = map(tracksim.TRACE_HEADER.split(",").index, ("x", "y", "e_d", "kappa"))
     summary = {"seed": seed, "rows": 0}
     max_e_d = max_kappa = 0.0
     with _atomic_file(out_path) as fh:
         fh.write(tracksim.TRACE_HEADER + "\n")
-        while (block := np.fromiter(itertools.chain.from_iterable(
-                itertools.islice(rows, tracksim.NOISE_BLOCK)), np.float64)).size:
-            block = block.reshape(-1, 10)  # TRACE_HEADER order: x 1, y 2, e_d 7, kappa 9
-            cells = _fixed_cells(block, 6)
-            cells[..., -1] = ord(",")
-            cells[:, -1, -1] = ord("\n")
-            fh.write(cells[cells != 0].tobytes().decode())
+        for block, text in tracksim.trace_blocks(rows):
+            fh.write(text)
             summary["rows"] += len(block)
-            max_e_d = max(max_e_d, np.abs(block[:, 7]).max())
-            max_kappa = max(max_kappa, float(np.abs(block[:, 9]).max()))
+            max_e_d = max(max_e_d, np.abs(block[:, e_d]).max())
+            max_kappa = max(max_kappa, float(np.abs(block[:, kappa]).max()))
             last = block[-1]
     if summary["rows"]:  # else the start pose is already beside the final sample
         # e_d rounds as the numpy float64 the trace rows carry, kappa as a float
         summary.update(
-            final_e_d_mm=round(last[7], 6),
-            final_path_distance_mm=round(tracksim.path_distance(path, last[1], last[2]), 6),
+            final_e_d_mm=round(last[e_d], 6),
+            final_path_distance_mm=round(tracksim.path_distance(path, last[x], last[y]), 6),
             max_abs_e_d_mm=round(np.float64(max_e_d), 6),
             max_abs_kappa=round(max_kappa, 9))
     return summary

@@ -34,7 +34,7 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .fixedq import FixedWord, json_ints, round_half_away
@@ -569,20 +569,10 @@ def default_core_spec() -> FlcSpec:
 
 
 def spec_to_dict(spec: FlcSpec) -> dict:
-    return {
-        "in_bits": spec.in_bits,
-        "out_bits": spec.out_bits,
-        "alpha_bits": spec.alpha_bits,
-        "cons_bits": spec.cons_bits,
-        "and_method": spec.and_method,
-        "mode": spec.mode,
-        "stages": spec.stages,
-        "clock_ns": spec.clock_ns,
-        "partitions": [
-            [[mf.a, mf.b, mf.c, mf.d] for mf in part] for part in spec.partitions
-        ],
-        "singletons": list(spec.singletons),
-    }
+    doc = asdict(spec)
+    doc["partitions"] = [[[mf.a, mf.b, mf.c, mf.d] for mf in part] for part in spec.partitions]
+    doc["singletons"] = list(spec.singletons)
+    return doc
 
 
 def spec_from_dict(data: dict) -> FlcSpec:

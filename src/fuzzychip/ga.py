@@ -31,7 +31,7 @@ import json
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
@@ -241,8 +241,7 @@ class GaConfig:
         if len(self.seeds) != 4 or any(not 0 < s < (1 << 16) for s in self.seeds):
             out.append("seeds must be four nonzero 16-bit values")
         if not out:  # per child: a selection word, half a pair's crossover, the mutation
-            per_pair = max({SINGLE_POINT: 1, TWO_POINT: 2}.get(m, (self.genom_lngt + 15) // 16)
-                           for m in _as_schedule(self.cross_method))
+            per_pair = max(cross_words(m, self.genom_lngt) for m in _as_schedule(self.cross_method))
             per_child = 1 + (self.genom_lngt if BIT_FLIP in _as_schedule(self.mut_method) else 1)
             words = self.pop_sz * (1 + per_child) + self.pop_sz // 2 * per_pair
             if self.max_gen * words > GA_MAX_WORK:
@@ -263,6 +262,11 @@ def _as_schedule(method: str | Sequence[str]) -> tuple[str, ...]:
     if isinstance(method, str):
         return (method,)
     return tuple(method)
+
+
+def cross_words(method: str, bits: int) -> int:
+    """LFSR words a pair's crossover draws; uniform's mask takes a genome's words."""
+    return {SINGLE_POINT: 1, TWO_POINT: 2, UNIFORM: (bits + 15) // 16}[method]
 
 
 def method_for(method: str | Sequence[str], generation: int) -> str:
@@ -332,9 +336,9 @@ def _roulette_picks(scores: Sequence[int], words: Sequence[int], res: int) -> li
 def crossover(
     p1: int, p2: int, bits: int, method: str, rng: Lfsr16
 ) -> tuple[int, int]:
-    """Two parents to two children. Draw budget is fixed per method:
-    single_point 1 word, two_point 2 words, uniform ceil(bits / 16) words
-    (the mask, first word lowest)."""
+    """Two parents to two children, from cross_words(method, bits) LFSR
+    words: single_point 1, two_point 2, uniform ceil(bits / 16) (the mask,
+    first word lowest)."""
     if method == SINGLE_POINT:
         k = 1 + rng.next_word() % (bits - 1)  # cut in 1 .. bits - 1
         mask = (1 << k) - 1  # bits below the cut swap
@@ -344,7 +348,7 @@ def crossover(
         lo, hi = min(k1, k2), max(k1, k2)
         mask = ((1 << hi) - 1) ^ ((1 << lo) - 1)  # middle segment swaps
     elif method == UNIFORM:  # set bits swap
-        mask = sum(rng.next_word() << (16 * i) for i in range((bits + 15) // 16))
+        mask = sum(rng.next_word() << (16 * i) for i in range(cross_words(method, bits)))
         mask &= (1 << bits) - 1
     else:
         raise ValueError(f"unknown cross_method {method!r}")
@@ -399,7 +403,7 @@ def _lower(cfg: GaConfig, fitness_fn: Callable[[int], int]):
     n_parents, full, top = cfg.pop_sz - elite, (1 << cfg.genom_lngt) - 1, (1 << cfg.score_sz) - 1
     gate_mask, mr = (1 << cfg.mut_res) - 1, cfg.mr
     crosses, muts = _as_schedule(cfg.cross_method), _as_schedule(cfg.mut_method)
-    per_pair = {SINGLE_POINT: 1, TWO_POINT: 2, UNIFORM: (bits + 15) // 16}
+    per_pair = {m: cross_words(m, bits) for m in CROSS_METHODS}
     hits = _hit_string(mr, cfg.mut_res) if BIT_FLIP in muts else b""
     last = len(hits) - 1
 
@@ -483,8 +487,8 @@ def init_population(cfg: GaConfig, fitness_fn, rng: Lfsr16) -> Population:
     """Generation 0 from the init stream: each genome is the next
     ceil(genom_lngt / 16) words, first word lowest, read from the orbit as
     _lower reads a uniform mask; rng is left after the last one."""
-    pos = _position(rng.state)
-    words, per, full = _orbit().words, (cfg.genom_lngt + 15) // 16, (1 << cfg.genom_lngt) - 1
+    pos, per = _position(rng.state), cross_words(UNIFORM, cfg.genom_lngt)
+    words, full = _orbit().words, (1 << cfg.genom_lngt) - 1
     genomes = []
     for _ in range(cfg.pop_sz):
         genomes.append(int.from_bytes(words[pos:pos + per].tobytes(), sys.byteorder) & full)
@@ -529,24 +533,11 @@ def run(
 
 
 def config_to_dict(cfg: GaConfig) -> dict:
-    def fold(method):
-        sched = _as_schedule(method)
-        return sched[0] if len(sched) == 1 else list(sched)
-
-    return {
-        "genom_lngt": cfg.genom_lngt,
-        "score_sz": cfg.score_sz,
-        "pop_sz": cfg.pop_sz,
-        "scaling_factor_res": cfg.scaling_factor_res,
-        "elite": cfg.elite,
-        "mr": cfg.mr,
-        "mut_res": cfg.mut_res,
-        "cross_method": fold(cfg.cross_method),
-        "mut_method": fold(cfg.mut_method),
-        "max_gen": cfg.max_gen,
-        "fitness_limit": cfg.fitness_limit,
-        "seeds": list(cfg.seeds),
-    }
+    doc = asdict(cfg)
+    for name in ("cross_method", "mut_method"):  # one name, or a schedule's list
+        sched = _as_schedule(doc[name])
+        doc[name] = sched[0] if len(sched) == 1 else list(sched)
+    return doc | {"seeds": list(cfg.seeds)}
 
 
 # the GaConfig fields a config document gives as JSON integers

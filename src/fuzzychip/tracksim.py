@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flc
+from .cells import fixed_cells, rows_text
 from .fixedq import DomainMap, quantize_code
 from .flc import MIN, STANDARD, FlcSpec, uniform_partition
 
 TRACE_HEADER = "t,x,y,theta,x_est,y_est,theta_est,e_d,e_theta,kappa"
-_ROW_FORMAT = ",".join(["%.6f"] * 10) + "\n"
 # rows of (distance, heading) noise drawn per rng.normal call, and trace rows
-# per CSV chunk; memory stays bounded whatever the step budget
+# per CSV block; memory stays bounded whatever the step budget
 NOISE_BLOCK = 1024
 SEARCH_WINDOW = 3  # samples each side of a scan's nearest that later steps try first
 # largest |x| or |y| of a loaded waypoint or a CLI start pose, in mm: the
@@ -298,17 +298,19 @@ class TraceLog:
     path: PathSamples
 
     def to_csv_text(self) -> str:
-        return "".join(csv_chunks(
-            (r.t, r.pose.x, r.pose.y, r.pose.theta, r.pose_est.x, r.pose_est.y,
-             r.pose_est.theta, r.e_d, r.e_theta, r.kappa) for r in self.rows))
+        rows = ((r.t, r.pose.x, r.pose.y, r.pose.theta, r.pose_est.x, r.pose_est.y,
+                 r.pose_est.theta, r.e_d, r.e_theta, r.kappa) for r in self.rows)
+        return TRACE_HEADER + "\n" + "".join(text for _, text in trace_blocks(rows))
 
 
-def csv_chunks(rows):
-    """Trace CSV text: the header, then one chunk per NOISE_BLOCK rows."""
-    yield TRACE_HEADER + "\n"
+def trace_blocks(rows):
+    """(block, text) per NOISE_BLOCK TRACE_HEADER-ordered rows: the rows as one
+    float64 matrix, and as CSV rows of format(v, '.6f') cells."""
     rows = iter(rows)
-    while block := [_ROW_FORMAT % r for r in itertools.islice(rows, NOISE_BLOCK)]:
-        yield "".join(block)
+    while (block := np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(rows, NOISE_BLOCK)), np.float64)).size:
+        block = block.reshape(-1, len(TRACE_HEADER.split(",")))
+        yield block, rows_text([fixed_cells(block, 6)])
 
 
 def trace_rows(path: PathSamples, params: TrackerParams, start: Pose | None = None,

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import random_knot_spec, subprocess_env
 from fuzzychip import __version__, cli, flc, flcref, ga, problems, tracksim
+from fuzzychip.cells import fixed_cells
 from fuzzychip.cli import SWEEP_MAX_ROWS, CliError, _csv_rows, _sweep_rows, main
 from fuzzychip.flcref import infer_real, lift, quantization_bound
 from fuzzychip.tracksim import (
@@ -144,8 +145,8 @@ def test_module_entry_point():
 COLD_START = r"""
 import contextlib, io, json, sys
 
-HEAVY = ("numpy", "fuzzychip.tracksim", "concurrent.futures.process", "fuzzychip.ga",
-         "fuzzychip.problems")
+HEAVY = ("numpy", "fuzzychip.cells", "fuzzychip.tracksim", "concurrent.futures.process",
+         "fuzzychip.ga", "fuzzychip.problems")
 
 
 def loaded():
@@ -192,7 +193,7 @@ def test_cold_start_sweep_loads_numpy(tmp_path):
     out = tmp_path / "o"
     report = _cold_start([["flc", "sweep", "--spec", str(spec), "--out", str(out)]])
     assert report["import fuzzychip.cli"] == []
-    assert report["flc sweep"] == [0, ["numpy"]]
+    assert report["flc sweep"] == [0, ["numpy", "fuzzychip.cells"]]
     digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
     assert digest == FROZEN_SWEEP_SHA256["n1_prod"]
 
@@ -633,7 +634,7 @@ def test_sweep_abs_error_cells_never_reach_format(tmp_path, monkeypatch):
         want.extend(f"{x0},{x1},{c},{r:.9f},{e:.3e}\n" for x0, x1, c, r, e in zip(*columns))
         return _csv_rows(ints, real, err)
 
-    monkeypatch.setattr(cli, "format", fallback, raising=False)
+    monkeypatch.setattr("fuzzychip.cells.format", fallback, raising=False)
     monkeypatch.setattr(cli, "_csv_rows", csv_rows)
     assert main(["flc", "sweep", "--spec", str(path), "--out", str(tmp_path / "o")]) == 0
     assert formatted == []
@@ -650,6 +651,8 @@ def test_csv_rows_integer_columns(dtype):
                     for a, b in zip(values, values[::-1])]
 
 
+# the per-row format trace_NNN.csv was once written with
+_ROW_FORMAT = ",".join(["%.6f"] * 10) + "\n"
 # .6f ties: odd multiples of 1/128 are exact, their neighbours one ulp off
 _TIES = [s * (2 * j + 1) / 128 for j in (0, 1, 63, 64, 12345, 2**40 + 7) for s in (1, -1)]
 _TRACE_EDGES = (_TIES + [math.nextafter(v, d) for v in _TIES for d in (-math.inf, math.inf)]
@@ -664,10 +667,10 @@ _TRACE_EDGES = (_TIES + [math.nextafter(v, d) for v in _TIES for d in (-math.inf
                 | st.floats(-2e9, 2e9), min_size=10, max_size=300))
 def test_fixed_cells_match_trace_row_format(values):
     block = np.array(values[:len(values) // 10 * 10]).reshape(-1, 10)
-    cells = cli._fixed_cells(block, 6)
+    cells = fixed_cells(block, 6)
     cells[..., -1] = ord(",")
     cells[:, -1, -1] = ord("\n")
-    want = "".join(tracksim._ROW_FORMAT % tuple(row) for row in block.tolist())
+    want = "".join(_ROW_FORMAT % tuple(row) for row in block.tolist())
     assert cells[cells != 0].tobytes().decode() == want
 
 
@@ -681,7 +684,7 @@ def test_track_summary_rounds_e_d_as_numpy_and_kappa_as_python(tmp_path, monkeyp
     summary = cli._track_payload(path, (0.0, 0.0), 0, 1, None, str(tmp_path / "t.csv"))
     assert (summary["final_e_d_mm"], summary["max_abs_e_d_mm"]) == (97.954096, 97.954096)
     assert summary["max_abs_kappa"] == 0.001286377
-    assert (tmp_path / "t.csv").read_text() == TRACE_HEADER + "\n" + tracksim._ROW_FORMAT % row
+    assert (tmp_path / "t.csv").read_text() == TRACE_HEADER + "\n" + _ROW_FORMAT % row
 
 
 @pytest.fixture()
@@ -873,6 +876,26 @@ def test_ga_rejects_work_over_cap(ga_config_file, tmp_path, capsys, monkeypatch)
     assert main([*argv, str(out), "--max-gen", "6"]) == 1
     assert capsys.readouterr().err == ("error: max_gen 6 times 112 LFSR words a generation "
                                        "is more than 560\n")
+    assert not out.exists()
+
+
+def test_ga_tsp_dimension_bound_is_inclusive(tmp_path, capsys, monkeypatch):
+    # a TSP fitness call grows with the dimension, so pop_sz times max_gen times
+    # dimension is capped at GA_MAX_CHILDREN times 14, burma14's dimension
+    monkeypatch.setattr(ga, "GA_MAX_CHILDREN", 64)
+    inst = problems.TspInstance("grid28", 28, problems.EUC_2D,
+                                tuple((float(i % 7), float(i // 7)) for i in range(28)))
+    tsp = tmp_path / "grid28.tsp"
+    tsp.write_text(problems.format_tsplib(inst))
+    cfg = tmp_path / "tsp.json"
+    ga.dump_config(ga.GaConfig(genom_lngt=100, pop_sz=4, max_gen=8), cfg)
+    argv = ["ga", "--config", str(cfg), "--instance", str(tsp), "--out"]
+    assert main([*argv, str(tmp_path / "ok")]) == 0  # 4 * 8 * 28 = 64 * 14
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main([*argv, str(out), "--max-gen", "9"]) == 1
+    assert capsys.readouterr().err == ("error: pop_sz 4 times max_gen 9 times dimension 28 "
+                                       "is more than 896\n")
     assert not out.exists()
 
 

@@ -601,6 +601,34 @@ def test_trace_csv_shape():
     assert lines[1].startswith("0.000000,0.000000,0.000000,")
 
 
+# the per-row format trace CSV was once written with
+_ROW_FORMAT = ",".join(["%.6f"] * 10) + "\n"
+# .6f ties (odd multiples of 1/128) and their neighbours, floats nearest a
+# decimal tie (k + 0.5) / 10^6, signed zeros, non-finite values, and values at
+# or above 2^53 / 10^6, which format writes
+_TIE = st.builds(lambda j, s: s * (2 * j + 1) / 128, st.integers(0, 2**45), st.sampled_from([1, -1]))
+_TRACE_CELL = st.one_of(
+    _TIE,
+    st.builds(math.nextafter, _TIE, st.sampled_from([-math.inf, math.inf])),
+    st.integers(-10**12, 10**12).map(lambda k: (k + 0.5) / 1e6),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 2**53 / 1e6, -(2**53) / 1e6,
+                     math.nextafter(2**53 / 1e6, 0), math.nextafter(2**53 / 1e6, math.inf)]),
+    st.builds(lambda v, s: s * v, st.floats(2**53 / 1e6, 1e300), st.sampled_from([1, -1])),
+    st.floats(),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(_TRACE_CELL, min_size=10, max_size=100), st.sampled_from([1, 120]))
+def test_trace_text_matches_row_format_on_edge_values(values, repeat):
+    # repeated 120 times, 9 rows or more span two NOISE_BLOCK blocks of the writer
+    rows = [values[i:i + 10] for i in range(0, len(values) - 9, 10)] * repeat
+    log = TraceLog(tuple(TraceRow(t, Pose(x, y, th), Pose(ex, ey, eth), e_d, e_t, kappa)
+                         for t, x, y, th, ex, ey, eth, e_d, e_t, kappa in rows), None)
+    want = "".join(_ROW_FORMAT % tuple(row) for row in rows)
+    assert log.to_csv_text() == TRACE_HEADER + "\n" + want
+
+
 # ---- canned geometries and waypoint files ----
 
 
