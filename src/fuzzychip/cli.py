@@ -266,43 +266,66 @@ def _sweep_rows(spec: flc.FlcSpec) -> int:
     return rows
 
 
-def _csv_rows(ints, real, err) -> str:
-    """CSV rows `i0,...,ik,real,err`: each of the int arrays ints (values
-    in 0..2^32 - 1) in decimal, real as format(r, '.9f') and err as
-    format(e, '.3e'), byte for byte, as the cell writers of .cells write them."""
-    from .cells import fixed_cells, int_cells, rows_text, sci_cells
-    return rows_text([*map(int_cells, ints), fixed_cells(real, 9), sci_cells(err)])
+def _runs(*columns):
+    """(run index of each code, first code of each run) for columns indexed
+    by code from 0. A run is a stretch of codes whose entries all equal the previous
+    code's; a float entry must also keep its sign bit, so neither 0.0 and
+    -0.0 nor two NaNs merge."""
+    import numpy as np
+    new = np.arange(len(columns[0])) == 0
+    for c in columns:
+        new[1:] |= c[1:] != c[:-1]
+        if c.dtype == np.float64:  # 0.0 == -0.0
+            new[1:] |= np.signbit(c[1:]) != np.signbit(c[:-1])
+    return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
 def _sweep_chunks(spec: flc.FlcSpec):
     """sweep.csv text, one chunk per block of up to SWEEP_BLOCK grid rows
-    (x0 outer, x1 inner): the header, then each block's rows as _csv_rows
-    writes them, byte for byte what per-row f-strings
+    (x0 outer, x1 inner): the header, then each block's rows in the cells of
+    .cells, byte for byte what per-row f-strings
     (`{x0},{x1},{code},{real:.9f},{err:.3e}`) would write.
 
     Both models fire from per-input pair tables built once over the sweep
-    axis. Fixed degrees never exceed real ones, so a zero real denominator
-    implies a zero fixed one at the same point: the fixed check, which runs
-    first on each block, decides the error message.
+    axis and read nothing else of a code, so the points of one run (_runs)
+    of each input share fixed_code, real_value and abs_error. A block finds
+    the runs of its x0 codes (x1's are found once per sweep), fires and
+    writes one point per run, then gathers those cells to its rows, behind x
+    cells written once per sweep. Fixed degrees never exceed real ones, so a
+    zero real denominator implies a zero fixed one at the same point: the
+    fixed check, which runs first on the block's points (they hold every
+    entry pair the block holds), decides the message.
     """
     import numpy as np
+    from .cells import fixed_cells, int_cells, rows_text, sci_cells
     rspec = lift(spec)
     tables = flc.pair_tables(spec)
     rtables = pair_tables_real(spec, rspec)
+    entries = [(t.left, t.deg_left, t.deg_right, r.left, r.deg_left, r.deg_right)
+               for t, r in zip(tables, rtables)]
+    x1_runs = [_runs(*entries[1])] if spec.n == 2 else []
     size = 1 << spec.in_bits
     out_scale = 1 << spec.out_bits
     axis = np.arange(size)
+    x_cells = int_cells(axis)
     step = SWEEP_BLOCK if spec.n == 1 else max(1, SWEEP_BLOCK // size)
     yield ("x0,fixed_code,real_value,abs_error\n" if spec.n == 1
            else "x0,x1,fixed_code,real_value,abs_error\n")
     for start in range(0, size, step):
-        block = axis[start:start + step]
-        codes = (block,) if spec.n == 1 else (block[:, None], axis)
-        code = flc.infer_batch(spec, [t.at(x) for t, x in zip(tables, codes)]).ravel()
-        real = infer_real_batch(rspec, [t.at(x) for t, x in zip(rtables, codes)]).ravel()
+        # per input: each code's run and the first code of each run
+        at, reps = zip(_runs(*(e[start:start + step] for e in entries[0])), *x1_runs)
+        grid = np.ix_(reps[0] + start, *reps[1:])
+        code = flc.infer_batch(spec, [t.at(x) for t, x in zip(tables, grid)]).ravel()
+        real = infer_real_batch(rspec, [t.at(x) for t, x in zip(rtables, grid)]).ravel()
         err = np.abs(code.astype(np.float64) / out_scale - real)
-        xs = [block] if spec.n == 1 else [np.repeat(block, size), np.tile(axis, len(block))]
-        yield _csv_rows([*xs, code], real, err)
+        cells = [int_cells(code), fixed_cells(real, 9), sci_cells(err)]
+        x0 = x_cells[start:start + step]
+        xs = [x0] if spec.n == 1 else [np.repeat(x0, size, 0), np.tile(x_cells, (len(x0), 1))]
+        if len(code) < len(xs[0]):  # some points of the block share a run: join, gather
+            cells[0][:, -1] = cells[1][:, -1] = ord(",")
+            rows = at[0] if spec.n == 1 else (at[0][:, None] * len(reps[1]) + at[1]).ravel()
+            cells = [np.concatenate(cells, axis=1).take(rows, 0)]
+        yield rows_text([*xs, *cells])
 
 
 def cmd_flc_sweep(args) -> int:

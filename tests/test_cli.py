@@ -1,5 +1,7 @@
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -9,17 +11,18 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_knot_spec, subprocess_env
 from fuzzychip import __version__, cli, flc, flcref, ga, problems, tracksim
-from fuzzychip.cells import fixed_cells
-from fuzzychip.cli import SWEEP_MAX_ROWS, CliError, _csv_rows, _sweep_rows, main
+from fuzzychip.cells import fixed_cells, int_cells, rows_text, sci_cells
+from fuzzychip.cli import SWEEP_MAX_ROWS, CliError, _runs, _sweep_rows, main
 from fuzzychip.flcref import infer_real, lift, quantization_bound
 from fuzzychip.tracksim import (
     TRACE_HEADER,
@@ -561,7 +564,87 @@ def test_sweep_one_input_14_bits_matches_scalar(tmp_path):
     assert lines == want
 
 
+def _scalar_sweep_text(spec: flc.FlcSpec) -> str:
+    """sweep.csv by per-row scalar inference and f-strings; raises
+    flc.DenominatorZero at the first row with a zero denominator."""
+    rspec, size = lift(spec), 1 << spec.in_bits
+    rows = ["x0,fixed_code,real_value,abs_error\n" if spec.n == 1
+            else "x0,x1,fixed_code,real_value,abs_error\n"]
+    for xs in itertools.product(range(size), repeat=spec.n):
+        code = flc.infer(spec, xs).value
+        real = infer_real(rspec, [x / size for x in xs])
+        err = abs(code / 2**spec.out_bits - real)
+        rows.append(f"{','.join(map(str, xs))},{code},{real:.9f},{err:.3e}\n")
+    return "".join(rows)
+
+
+@st.composite
+def _sweep_specs(draw):
+    # knots give plateaus and a == b, c == d steps, and 1-3 alpha bits floor
+    # the slopes to a few degrees, so codes share runs; 32 alpha bits run on
+    # object arrays; triangles at 12 alpha bits have next to no runs
+    n = draw(st.integers(1, 2))
+    in_bits = draw(st.integers(2, 6 if n == 1 else 4))
+    and_method = draw(st.sampled_from([flc.MIN, flc.PROD]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["knots", "knots", "wide knots", "triangles"]))
+    if kind == "triangles":
+        m = draw(st.integers(2, min(4, 1 << in_bits)))
+        spec = flc.FlcSpec(
+            in_bits=in_bits, out_bits=12, alpha_bits=12, cons_bits=8,
+            partitions=(flc.uniform_partition(in_bits, m),) * n,
+            singletons=tuple(rnd.randrange(256) for _ in range(m**n)), and_method=and_method)
+    elif kind == "wide knots":
+        spec = random_knot_spec(rnd, n, in_bits, 32, and_method, cons_bits=28)
+    else:
+        spec = random_knot_spec(rnd, n, in_bits, draw(st.integers(1, 3)), and_method)
+    assume(flc.validate_spec(spec).ok)
+    return spec
+
+
+@settings(max_examples=60)
+@given(_sweep_specs())
+@example(flc.FlcSpec(  # a zero fixed denominator mid-edge (zero_den_spec)
+    in_bits=4, out_bits=8, alpha_bits=1, cons_bits=8,
+    partitions=((flc.MembershipFunction(0, 0, 0, 15), flc.MembershipFunction(0, 15, 15, 15)),) * 2,
+    singletons=(10, 200, 30, 90)))
+@example(flc.FlcSpec(  # object arrays, MIN
+    in_bits=3, out_bits=32, alpha_bits=32, cons_bits=32,
+    partitions=(flc.uniform_partition(3, 3),) * 2, singletons=tuple((2**32 - 1) * i // 8 for i in range(9))))
+def test_sweep_matches_scalar_on_specs_with_runs(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "o")
+        flc.dump_spec(spec, path)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["flc", "sweep", "--spec", path, "--out", out])
+        try:
+            want = _scalar_sweep_text(spec)
+        except flc.DenominatorZero as exc:
+            assert (rc, stderr.getvalue()) == (1, f"error: {exc}\n")
+            assert os.listdir(out) == ["manifest.json"]
+        else:
+            assert (rc, stderr.getvalue()) == (0, "")
+            with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
+                assert fh.read() == want
+
+
+def test_sweep_runs_split_on_any_entry_sign_bit_and_nan():
+    left = np.array([0, 0, 0, 0, 0, 0, 1, 1])
+    real = np.array([0.0, -0.0, np.nan, np.nan, 0.5, 0.5, 0.5, 0.5])
+    wide = np.array([3, 3, 3, 3, 3, 3, 3, 2**40], dtype=object)
+    rid, rep = _runs(left, real, wide)
+    assert rid.tolist() == [0, 1, 2, 3, 4, 4, 5, 6]
+    assert rep.tolist() == [0, 1, 2, 3, 4, 6, 7]
+    assert [a.tolist() for a in _runs(np.array([5]), np.array([-0.0]))] == [[0], [0]]
+
+
 # ---- sweep.csv cells ----
+
+
+def _csv_rows(ints, real, err) -> str:
+    """The rows `i0,...,ik,real,err` of sweep.csv's cell writers."""
+    return rows_text([*map(int_cells, ints), fixed_cells(real, 9), sci_cells(err)])
 
 
 def _csv_cells(ints, real, err) -> list[list[str]]:
@@ -623,21 +706,21 @@ def test_sweep_abs_error_cells_never_reach_format(tmp_path, monkeypatch):
         singletons=tuple(rnd.randrange(256) for _ in range(81)), and_method=flc.MIN)
     path = tmp_path / "sweep.json"
     flc.dump_spec(spec, path)
-    formatted, want = [], ["x0,x1,fixed_code,real_value,abs_error\n"]
+    formatted = []
 
     def fallback(value, fmt):
         formatted.append((value, fmt))
         return format(value, fmt)
 
-    def csv_rows(ints, real, err):
-        columns = [v.tolist() for v in (*ints, real, err)]
-        want.extend(f"{x0},{x1},{c},{r:.9f},{e:.3e}\n" for x0, x1, c, r, e in zip(*columns))
-        return _csv_rows(ints, real, err)
-
     monkeypatch.setattr("fuzzychip.cells.format", fallback, raising=False)
-    monkeypatch.setattr(cli, "_csv_rows", csv_rows)
     assert main(["flc", "sweep", "--spec", str(path), "--out", str(tmp_path / "o")]) == 0
     assert formatted == []
+    rspec = lift(spec)
+    want = ["x0,x1,fixed_code,real_value,abs_error\n"]
+    for x0, x1 in itertools.product(range(128), repeat=2):
+        code = flc.infer(spec, (x0, x1)).value
+        real = infer_real(rspec, [x0 / 128, x1 / 128])
+        want.append(f"{x0},{x1},{code},{real:.9f},{abs(code / 2**12 - real):.3e}\n")
     assert (tmp_path / "o" / "sweep.csv").read_text() == "".join(want)
     assert len(want) == 1 + 2**14
 
