@@ -564,9 +564,9 @@ def test_sweep_one_input_14_bits_matches_scalar(tmp_path):
     assert lines == want
 
 
-def _scalar_sweep_text(spec: flc.FlcSpec) -> str:
-    """sweep.csv by per-row scalar inference and f-strings; raises
-    flc.DenominatorZero at the first row with a zero denominator."""
+def _scalar_sweep_rows(spec: flc.FlcSpec) -> list[str]:
+    """The lines of sweep.csv by per-row scalar inference and f-strings;
+    raises flc.DenominatorZero at the first row with a zero denominator."""
     rspec, size = lift(spec), 1 << spec.in_bits
     rows = ["x0,fixed_code,real_value,abs_error\n" if spec.n == 1
             else "x0,x1,fixed_code,real_value,abs_error\n"]
@@ -575,7 +575,7 @@ def _scalar_sweep_text(spec: flc.FlcSpec) -> str:
         real = infer_real(rspec, [x / size for x in xs])
         err = abs(code / 2**spec.out_bits - real)
         rows.append(f"{','.join(map(str, xs))},{code},{real:.9f},{err:.3e}\n")
-    return "".join(rows)
+    return rows
 
 
 @st.composite
@@ -604,13 +604,15 @@ def _sweep_specs(draw):
 
 @settings(max_examples=60)
 @given(_sweep_specs())
-@example(flc.FlcSpec(  # a zero fixed denominator mid-edge (zero_den_spec)
+@example(flc.FlcSpec(  # zero_den_spec at 4 bits: a zero fixed denominator mid-edge
     in_bits=4, out_bits=8, alpha_bits=1, cons_bits=8,
-    partitions=((flc.MembershipFunction(0, 0, 0, 15), flc.MembershipFunction(0, 15, 15, 15)),) * 2,
+    partitions=((flc.MembershipFunction(0, 0, 0, 15),
+                 flc.MembershipFunction(0, 15, 15, 15)),) * 2,
     singletons=(10, 200, 30, 90)))
 @example(flc.FlcSpec(  # object arrays, MIN
     in_bits=3, out_bits=32, alpha_bits=32, cons_bits=32,
-    partitions=(flc.uniform_partition(3, 3),) * 2, singletons=tuple((2**32 - 1) * i // 8 for i in range(9))))
+    partitions=(flc.uniform_partition(3, 3),) * 2,
+    singletons=tuple((2**32 - 1) * i // 8 for i in range(9))))
 def test_sweep_matches_scalar_on_specs_with_runs(spec):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "o")
@@ -619,7 +621,7 @@ def test_sweep_matches_scalar_on_specs_with_runs(spec):
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             rc = main(["flc", "sweep", "--spec", path, "--out", out])
         try:
-            want = _scalar_sweep_text(spec)
+            want = "".join(_scalar_sweep_rows(spec))
         except flc.DenominatorZero as exc:
             assert (rc, stderr.getvalue()) == (1, f"error: {exc}\n")
             assert os.listdir(out) == ["manifest.json"]
@@ -715,12 +717,7 @@ def test_sweep_abs_error_cells_never_reach_format(tmp_path, monkeypatch):
     monkeypatch.setattr("fuzzychip.cells.format", fallback, raising=False)
     assert main(["flc", "sweep", "--spec", str(path), "--out", str(tmp_path / "o")]) == 0
     assert formatted == []
-    rspec = lift(spec)
-    want = ["x0,x1,fixed_code,real_value,abs_error\n"]
-    for x0, x1 in itertools.product(range(128), repeat=2):
-        code = flc.infer(spec, (x0, x1)).value
-        real = infer_real(rspec, [x0 / 128, x1 / 128])
-        want.append(f"{x0},{x1},{code},{real:.9f},{abs(code / 2**12 - real):.3e}\n")
+    want = _scalar_sweep_rows(spec)
     assert (tmp_path / "o" / "sweep.csv").read_text() == "".join(want)
     assert len(want) == 1 + 2**14
 
