@@ -268,9 +268,9 @@ def _sweep_rows(spec: flc.FlcSpec) -> int:
 
 def _runs(*columns):
     """(run index of each code, first code of each run) for columns indexed
-    by code from 0. A run is a stretch of codes whose entries all equal the previous
-    code's; a float entry must also keep its sign bit, so neither 0.0 and
-    -0.0 nor two NaNs merge."""
+    by code from 0. A run is a stretch of codes whose entries all equal the
+    previous code's; a float entry must also keep its sign bit, so neither
+    0.0 and -0.0 nor two NaNs merge."""
     import numpy as np
     new = np.arange(len(columns[0])) == 0
     for c in columns:
