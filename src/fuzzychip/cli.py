@@ -248,8 +248,8 @@ def cmd_flc_timing(args) -> int:
     return EXIT_OK
 
 
-# grid points per batched block of sweep.csv rows; memory grows with the
-# block, not with the grid
+# grid points per batched block of sweep.csv rows; a block's cells grow
+# with the block, the per-axis tables of a sweep with the axis
 SWEEP_BLOCK = 1 << 12
 # largest grid flc sweep accepts, in rows; time and pair tables grow with it
 SWEEP_MAX_ROWS = 1 << 20
@@ -276,7 +276,8 @@ def _runs(*columns):
     for c in columns:
         new[1:] |= c[1:] != c[:-1]
         if c.dtype == np.float64:  # 0.0 == -0.0
-            new[1:] |= np.signbit(c[1:]) != np.signbit(c[:-1])
+            sign = np.signbit(c)
+            new[1:] |= sign[1:] ^ sign[:-1]
     return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
@@ -288,43 +289,43 @@ def _sweep_chunks(spec: flc.FlcSpec):
 
     Both models fire from per-input pair tables built once over the sweep
     axis and read nothing else of a code, so the points of one run (_runs)
-    of each input share fixed_code, real_value and abs_error. A block finds
-    the runs of its x0 codes (x1's are found once per sweep), fires and
-    writes one point per run, then gathers those cells to its rows, behind x
-    cells written once per sweep. Fixed degrees never exceed real ones, so a
-    zero real denominator implies a zero fixed one at the same point: the
-    fixed check, which runs first on the block's points (they hold every
-    entry pair the block holds), decides the message.
+    of each input share fixed_code, real_value and abs_error. The runs and
+    the x cells are built once per sweep, like the tables. A block fires
+    and writes one point per run it holds (a run may start in the block
+    before), then gathers those cells to its rows unless every code of the
+    block starts a run. Fixed degrees never exceed real ones, so a zero
+    real denominator implies a zero fixed one at the same point: the fixed
+    check, which runs first on the block's points (they hold every entry
+    pair the block holds), decides the message.
     """
     import numpy as np
     from .cells import fixed_cells, int_cells, rows_text, sci_cells
     rspec = lift(spec)
     tables = flc.pair_tables(spec)
     rtables = pair_tables_real(spec, rspec)
-    entries = [(t.left, t.deg_left, t.deg_right, r.left, r.deg_left, r.deg_right)
-               for t, r in zip(tables, rtables)]
-    x1_runs = [_runs(*entries[1])] if spec.n == 2 else []
+    # per input: each code's run and the first code of each run
+    at, reps = zip(*(_runs(t.left, t.deg_left, t.deg_right, r.left, r.deg_left, r.deg_right)
+                     for t, r in zip(tables, rtables)))
     size = 1 << spec.in_bits
     out_scale = 1 << spec.out_bits
-    axis = np.arange(size)
-    x_cells = int_cells(axis)
+    x_cells = int_cells(np.arange(size))
     step = SWEEP_BLOCK if spec.n == 1 else max(1, SWEEP_BLOCK // size)
     yield ("x0,fixed_code,real_value,abs_error\n" if spec.n == 1
            else "x0,x1,fixed_code,real_value,abs_error\n")
     for start in range(0, size, step):
-        # per input: each code's run and the first code of each run
-        at, reps = zip(_runs(*(e[start:start + step] for e in entries[0])), *x1_runs)
-        grid = np.ix_(reps[0] + start, *reps[1:])
+        x0 = x_cells[start:start + step]
+        run = at[0][start:start + len(x0)]
+        grid = np.ix_(reps[0][run[0]:run[-1] + 1], *reps[1:])
         code = flc.infer_batch(spec, [t.at(x) for t, x in zip(tables, grid)]).ravel()
         real = infer_real_batch(rspec, [t.at(x) for t, x in zip(rtables, grid)]).ravel()
         err = np.abs(code.astype(np.float64) / out_scale - real)
         cells = [int_cells(code), fixed_cells(real, 9), sci_cells(err)]
-        x0 = x_cells[start:start + step]
+        rows = run - run[0]
+        if spec.n == 2:
+            rows = (rows[:, None] * len(reps[1]) + at[1]).ravel()
+        if len(code) < len(rows):  # some points of the block share a run
+            cells = [c.take(rows, 0) for c in cells]
         xs = [x0] if spec.n == 1 else [np.repeat(x0, size, 0), np.tile(x_cells, (len(x0), 1))]
-        if len(code) < len(xs[0]):  # some points of the block share a run: join, gather
-            cells[0][:, -1] = cells[1][:, -1] = ord(",")
-            rows = at[0] if spec.n == 1 else (at[0][:, None] * len(reps[1]) + at[1]).ravel()
-            cells = [np.concatenate(cells, axis=1).take(rows, 0)]
         yield rows_text([*xs, *cells])
 
 

@@ -631,6 +631,27 @@ def test_sweep_matches_scalar_on_specs_with_runs(spec):
                 assert fh.read() == want
 
 
+_MF = flc.MembershipFunction
+
+
+@pytest.mark.parametrize("spec", [
+    # two blocks of one input; the plateau on 3000..5000 runs across code 4096
+    flc.FlcSpec(in_bits=13, out_bits=12, alpha_bits=3, cons_bits=8,
+                partitions=((_MF(0, 0, 2000, 3000), _MF(2000, 3000, 5000, 6100),
+                             _MF(5000, 6100, 8191, 8191)),),
+                singletons=(7, 200, 90)),
+    # four blocks of 32 x0 codes; the plateau on 50..80 runs across x0 = 64
+    flc.FlcSpec(in_bits=7, out_bits=12, alpha_bits=3, cons_bits=8,
+                partitions=((_MF(0, 0, 30, 50), _MF(30, 50, 80, 99), _MF(80, 99, 127, 127)),) * 2,
+                singletons=tuple((37 * i + 11) % 256 for i in range(9)), and_method=flc.PROD),
+], ids=["n1", "n2"])
+def test_sweep_gathers_later_blocks_to_scalar(spec, tmp_path):
+    path = tmp_path / "spec.json"
+    flc.dump_spec(spec, path)
+    assert main(["flc", "sweep", "--spec", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "sweep.csv").read_text() == "".join(_scalar_sweep_rows(spec))
+
+
 def test_sweep_runs_split_on_any_entry_sign_bit_and_nan():
     left = np.array([0, 0, 0, 0, 0, 0, 1, 1])
     real = np.array([0.0, -0.0, np.nan, np.nan, 0.5, 0.5, 0.5, 0.5])
