@@ -613,6 +613,17 @@ def _sweep_specs(draw):
     in_bits=3, out_bits=32, alpha_bits=32, cons_bits=32,
     partitions=(flc.uniform_partition(3, 3),) * 2,
     singletons=tuple((2**32 - 1) * i // 8 for i in range(9))))
+@example(flc.FlcSpec(  # two blocks of one input; the plateau on 3000..5000 crosses 4096
+    in_bits=13, out_bits=12, alpha_bits=3, cons_bits=8,
+    partitions=((flc.MembershipFunction(0, 0, 2000, 3000),
+                 flc.MembershipFunction(2000, 3000, 5000, 6100),
+                 flc.MembershipFunction(5000, 6100, 8191, 8191)),),
+    singletons=(7, 200, 90)))
+@example(flc.FlcSpec(  # four blocks of 32 x0 codes; the plateau on 50..80 crosses 64
+    in_bits=7, out_bits=12, alpha_bits=3, cons_bits=8,
+    partitions=((flc.MembershipFunction(0, 0, 30, 50), flc.MembershipFunction(30, 50, 80, 99),
+                 flc.MembershipFunction(80, 99, 127, 127)),) * 2,
+    singletons=tuple((37 * i + 11) % 256 for i in range(9)), and_method=flc.PROD))
 def test_sweep_matches_scalar_on_specs_with_runs(spec):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "o")
@@ -629,27 +640,6 @@ def test_sweep_matches_scalar_on_specs_with_runs(spec):
             assert (rc, stderr.getvalue()) == (0, "")
             with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
                 assert fh.read() == want
-
-
-_MF = flc.MembershipFunction
-
-
-@pytest.mark.parametrize("spec", [
-    # two blocks of one input; the plateau on 3000..5000 runs across code 4096
-    flc.FlcSpec(in_bits=13, out_bits=12, alpha_bits=3, cons_bits=8,
-                partitions=((_MF(0, 0, 2000, 3000), _MF(2000, 3000, 5000, 6100),
-                             _MF(5000, 6100, 8191, 8191)),),
-                singletons=(7, 200, 90)),
-    # four blocks of 32 x0 codes; the plateau on 50..80 runs across x0 = 64
-    flc.FlcSpec(in_bits=7, out_bits=12, alpha_bits=3, cons_bits=8,
-                partitions=((_MF(0, 0, 30, 50), _MF(30, 50, 80, 99), _MF(80, 99, 127, 127)),) * 2,
-                singletons=tuple((37 * i + 11) % 256 for i in range(9)), and_method=flc.PROD),
-], ids=["n1", "n2"])
-def test_sweep_gathers_later_blocks_to_scalar(spec, tmp_path):
-    path = tmp_path / "spec.json"
-    flc.dump_spec(spec, path)
-    assert main(["flc", "sweep", "--spec", str(path), "--out", str(tmp_path / "o")]) == 0
-    assert (tmp_path / "o" / "sweep.csv").read_text() == "".join(_scalar_sweep_rows(spec))
 
 
 def test_sweep_runs_split_on_any_entry_sign_bit_and_nan():
